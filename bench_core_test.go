@@ -16,8 +16,10 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"approxsort/internal/core"
 	"approxsort/internal/dataset"
 	"approxsort/internal/experiments"
+	"approxsort/internal/hybrid"
 	"approxsort/internal/mem"
 	"approxsort/internal/mlc"
 	"approxsort/internal/rng"
@@ -120,5 +122,49 @@ func BenchmarkCoreSortdJob(b *testing.B) {
 		if job.Status != server.StatusDone {
 			b.Fatalf("job status %q: %s", job.Status, job.Error)
 		}
+	}
+}
+
+// BenchmarkCoreMemsim is one sinked n=100k onesweep-lsd hybrid run — the
+// Table 1 memory-system simulation sortd's hybrid executor attaches —
+// with the simulation applied inline and overlapped through
+// hybrid.System.Run. Compare the two at -cpu 1,2: the overlap pays off
+// only with a second core. Both report the same pcm_ns/rec.
+func BenchmarkCoreMemsim(b *testing.B) {
+	const n = 100000
+	keys := dataset.Uniform(n, benchSeed)
+	alg, err := sorts.New("onesweep-lsd", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []string{"inline", "run"} {
+		b.Run(mode, func(b *testing.B) {
+			var clock float64
+			for i := 0; i < b.N; i++ {
+				sys := hybrid.New()
+				cfg := core.Config{
+					Algorithm:   alg,
+					T:           0.055,
+					Seed:        benchSeed,
+					PreciseSink: sys.Region("precise", mlc.PreciseWriteNanos),
+					ApproxSink:  sys.Region("approx", 0.67*mlc.PreciseWriteNanos),
+				}
+				run := func() {
+					if _, err := core.Run(keys, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if mode == "run" {
+					sys.Run(run)
+				} else {
+					run()
+				}
+				if err := sys.Stats().Check(); err != nil {
+					b.Fatal(err)
+				}
+				clock = sys.Clock()
+			}
+			b.ReportMetric(clock/n, "pcm_ns/rec")
+		})
 	}
 }

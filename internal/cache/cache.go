@@ -6,33 +6,51 @@
 // write-latency accounting rests on (Section 3.2).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the cache line size used throughout (64 B).
 const LineBytes = 64
 
 // Cache is one set-associative, LRU, write-through cache level.
+//
+// The tag store is one flat array of sets×ways entries. Each set's row
+// holds its fill[set] resident tags ordered most- to least-recently used,
+// so the MRU way is probed first and an MRU hit moves nothing. Every
+// Table 1 level has a power-of-two set count, so the set index and tag
+// are a mask and a shift of the line number.
 type Cache struct {
-	ways   int
-	sets   int
-	tags   [][]uint64 // tags[set] ordered most- to least-recently used
-	hits   uint64
-	misses uint64
+	ways    int
+	sets    int
+	setMask uint64
+	setBits uint
+	tags    []uint64 // tags[set*ways : set*ways+fill[set]], MRU first
+	fill    []uint8
+	hits    uint64
+	misses  uint64
 }
 
 // New returns a cache of the given total size and associativity with
-// 64-byte lines. It panics if the geometry is inconsistent (programming
-// error).
+// 64-byte lines. It panics if the geometry is inconsistent or the set
+// count is not a power of two (programming error).
 func New(sizeBytes, ways int) *Cache {
-	if sizeBytes <= 0 || ways <= 0 || sizeBytes%(ways*LineBytes) != 0 {
+	if sizeBytes <= 0 || ways <= 0 || ways > 255 || sizeBytes%(ways*LineBytes) != 0 {
 		panic(fmt.Sprintf("cache: bad geometry size=%d ways=%d", sizeBytes, ways))
 	}
 	sets := sizeBytes / (ways * LineBytes)
-	c := &Cache{ways: ways, sets: sets, tags: make([][]uint64, sets)}
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, 0, ways)
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache: %d sets is not a power of two (size=%d ways=%d)", sets, sizeBytes, ways))
 	}
-	return c
+	return &Cache{
+		ways:    ways,
+		sets:    sets,
+		setMask: uint64(sets - 1),
+		setBits: uint(bits.TrailingZeros(uint(sets))),
+		tags:    make([]uint64, sets*ways),
+		fill:    make([]uint8, sets),
+	}
 }
 
 // Sets returns the number of sets.
@@ -41,44 +59,56 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) set(addr uint64) (int, uint64) {
+// row returns addr's set index, its resident tags (MRU first) and addr's
+// tag.
+func (c *Cache) row(addr uint64) (int, []uint64, uint64) {
 	line := addr / LineBytes
-	return int(line % uint64(c.sets)), line / uint64(c.sets)
+	si := int(line & c.setMask)
+	base := si * c.ways
+	return si, c.tags[base : base+int(c.fill[si]) : base+c.ways], line >> c.setBits
+}
+
+// promote moves the tag at way i of row to the MRU way.
+func promote(row []uint64, i int) {
+	tag := row[i]
+	copy(row[1:i+1], row[:i])
+	row[0] = tag
 }
 
 // Access looks up addr, allocating the line (and evicting LRU) on a miss.
 // It returns true on hit.
 func (c *Cache) Access(addr uint64) bool {
-	si, tag := c.set(addr)
-	set := c.tags[si]
-	for i, t := range set {
-		if t == tag {
-			// Move to front (most recently used).
-			copy(set[1:i+1], set[:i])
-			set[0] = tag
+	si, row, tag := c.row(addr)
+	if len(row) > 0 && row[0] == tag {
+		c.hits++
+		return true
+	}
+	for i := 1; i < len(row); i++ {
+		if row[i] == tag {
+			promote(row, i)
 			c.hits++
 			return true
 		}
 	}
 	c.misses++
-	if len(set) < c.ways {
-		set = append(set, 0)
+	if len(row) < c.ways {
+		row = row[:len(row)+1]
+		c.fill[si]++
 	}
-	copy(set[1:], set)
-	set[0] = tag
-	c.tags[si] = set
+	copy(row[1:], row[:len(row)-1])
+	row[0] = tag
 	return false
 }
 
 // Touch updates the line's recency if present but does not allocate — the
 // write-through, no-write-allocate policy for stores.
 func (c *Cache) Touch(addr uint64) bool {
-	si, tag := c.set(addr)
-	set := c.tags[si]
-	for i, t := range set {
+	_, row, tag := c.row(addr)
+	for i, t := range row {
 		if t == tag {
-			copy(set[1:i+1], set[:i])
-			set[0] = tag
+			if i > 0 {
+				promote(row, i)
+			}
 			return true
 		}
 	}
@@ -131,6 +161,12 @@ func (h *Hierarchy) Read(addr uint64) (level int, nanos float64) {
 	}
 	return 0, L1Nanos + L2Nanos + L3Nanos
 }
+
+// ReadAgain records k further loads of the line the preceding Read
+// resolved, with no access in between. That Read left the line as L1's
+// MRU way (a hit promotes it, a miss allocates it there), so each
+// repeat is an L1 hit that reorders nothing: only the hit count moves.
+func (h *Hierarchy) ReadAgain(k uint64) { h.L1.hits += k }
 
 // Write services a store under write-through/no-write-allocate: present
 // lines refresh their recency, nothing is allocated, and the store always

@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"approxsort/internal/rng"
+)
 
 func TestGeometry(t *testing.T) {
 	c := New(32<<10, 8)
@@ -16,6 +20,82 @@ func TestGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(1000, 3) // not divisible by ways*line
+}
+
+func TestGeometryRejectsNonPowerOfTwoSets(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("3-set cache accepted")
+		}
+	}()
+	New(3*2*LineBytes, 2)
+}
+
+// sliceLRU is the per-set slice LRU the flat tag array replaced: each set
+// a slice of tags, most- to least-recently used, with division-based set
+// mapping. It is the oracle for the flat cache.
+type sliceLRU struct {
+	ways int
+	tags [][]uint64
+}
+
+func newSliceLRU(sizeBytes, ways int) *sliceLRU {
+	return &sliceLRU{ways: ways, tags: make([][]uint64, sizeBytes/(ways*LineBytes))}
+}
+
+func (c *sliceLRU) lookup(addr uint64, allocate bool) bool {
+	line := addr / LineBytes
+	si, tag := line%uint64(len(c.tags)), line/uint64(len(c.tags))
+	set := c.tags[si]
+	for i, t := range set {
+		if t == tag {
+			copy(set[1:i+1], set[:i])
+			set[0] = tag
+			return true
+		}
+	}
+	if allocate {
+		if len(set) < c.ways {
+			set = append(set, 0)
+		}
+		copy(set[1:], set)
+		set[0] = tag
+		c.tags[si] = set
+	}
+	return false
+}
+
+// TestFlatCacheMatchesSliceLRU drives the flat cache and the slice LRU
+// with the same random Access/Touch stream at every Table 1 geometry and
+// a few small ones, comparing each hit/miss outcome.
+func TestFlatCacheMatchesSliceLRU(t *testing.T) {
+	for _, g := range []struct{ size, ways int }{
+		{32 << 10, 8}, {2 << 20, 4}, {32 << 20, 8}, {LineBytes, 1}, {4 * LineBytes, 4}, {4096, 2},
+	} {
+		c, ref := New(g.size, g.ways), newSliceLRU(g.size, g.ways)
+		r := rng.New(uint64(g.size + g.ways))
+		span := 4 * g.size // a working set that hits and evicts
+		var hits uint64
+		for i := 0; i < 200000; i++ {
+			addr := uint64(r.Intn(span))
+			if r.Bernoulli(0.3) {
+				if got, want := c.Touch(addr), ref.lookup(addr, false); got != want {
+					t.Fatalf("%d/%d-way op %d Touch(%#x) = %v, oracle %v", g.size, g.ways, i, addr, got, want)
+				}
+				continue
+			}
+			got, want := c.Access(addr), ref.lookup(addr, true)
+			if got != want {
+				t.Fatalf("%d/%d-way op %d Access(%#x) = %v, oracle %v", g.size, g.ways, i, addr, got, want)
+			}
+			if got {
+				hits++
+			}
+		}
+		if c.Hits() != hits || hits == 0 {
+			t.Errorf("%d/%d-way: Hits() = %d, counted %d", g.size, g.ways, c.Hits(), hits)
+		}
+	}
 }
 
 func TestHitAfterMiss(t *testing.T) {

@@ -127,8 +127,8 @@ type Stats struct {
 	MergeWriteNanos float64 `json:"merge_write_nanos"`
 	// TableWarmed reports whether the calibration artifact relay ran;
 	// TableWarmError carries the (non-fatal) failure when it did not.
-	TableWarmed     bool   `json:"table_warmed,omitempty"`
-	TableWarmError  string `json:"table_warm_error,omitempty"`
+	TableWarmed    bool   `json:"table_warmed,omitempty"`
+	TableWarmError string `json:"table_warm_error,omitempty"`
 	// Verified is true when every shard job passed its own audit chain
 	// AND the merged stream passed the coordinator's checks.
 	Verified bool `json:"verified"`

@@ -8,9 +8,9 @@
 // instrumented spaces (mem.PreciseSpace.SetSink / mem.ApproxSpace.SetSink)
 // and every Get/Set flows through caches and bank queues, accumulating the
 // CPU-visible "total memory access time" the paper's abstract reports.
-// Regions also serve as the analogue of the paper's approx_alloc /
-// ld.approx / st.approx interface (Section 2.3): the region an address
-// falls in determines how the device treats it.
+// The region an address falls in determines how the device treats it.
+// System.Run overlaps that simulation with the code producing the
+// accesses (run.go).
 package hybrid
 
 import (
@@ -23,12 +23,34 @@ import (
 
 // System is the hybrid memory system: caches plus a region-split PCM
 // device sharing one CPU clock.
+//
+// Regions do not simulate an access when it happens. They append a
+// compact record to the system's event log, in program order, and one
+// apply loop simulates the log (see DESIGN.md §13.5). Outside Run a full
+// log chunk is applied inline; inside Run chunks are applied on a second
+// goroutine while the caller keeps computing. Stats, Clock, AdvanceClock
+// and Region first bring the simulation up to date with the log, so every
+// observable result is the one per-access simulation would give. A
+// System is not safe for concurrent use: Run's goroutine is internal.
 type System struct {
-	hier  *cache.Hierarchy
-	dev   *pcm.Sim
-	clock float64
-	next  uint64 // next free region base
+	// The event log: buf[:n] holds the records not yet handed to the
+	// simulator. pipe is non-nil while Run is in progress.
+	buf  []uint64
+	n    int
+	pipe *pipe
+	// m is the simulator state, a separate allocation so that the
+	// producer's log writes and Run's simulator goroutine never share a
+	// cache line.
+	m *machine
+}
 
+// machine is the simulator state the apply loop owns.
+type machine struct {
+	hier       *cache.Hierarchy
+	dev        *pcm.Sim
+	writeNanos []float64 // per-store service time, by region index
+
+	clock           float64
 	reads, writes   uint64
 	readHits        [4]uint64 // by level; [0] counts memory reads
 	cacheReadNanos  float64
@@ -37,26 +59,28 @@ type System struct {
 }
 
 // New returns a system with the Table 1 cache hierarchy and PCM device.
-func New() *System {
-	return &System{hier: cache.NewHierarchy(), dev: pcm.New(pcm.DefaultConfig())}
-}
+func New() *System { return NewWithConfig(pcm.DefaultConfig()) }
 
 // NewWithConfig returns a system with a custom PCM configuration.
 func NewWithConfig(cfg pcm.Config) *System {
-	return &System{hier: cache.NewHierarchy(), dev: pcm.New(cfg)}
+	return &System{
+		buf: make([]uint64, chunkEvents),
+		m:   &machine{hier: cache.NewHierarchy(), dev: pcm.New(cfg)},
+	}
 }
 
 // regionBytes is the size reserved for each region (4 GB of the 8 GB
 // device in the default split of Table 1).
 const regionBytes = 4 << 30
 
-// Region is a mem.Sink that maps a space's zero-based addresses into the
-// system's physical address space and tags its writes with a service time.
+// Region is a mem.Sink and mem.RangeSink that maps a space's zero-based
+// addresses into the system's physical address space and tags its writes
+// with a service time.
 type Region struct {
-	sys        *System
-	base       uint64
-	writeNanos float64
-	name       string
+	sys  *System
+	base uint64
+	tag  uint64 // the region's index, placed in the event's region field
+	name string
 }
 
 // Region reserves the next address range and returns its sink. writeNanos
@@ -67,9 +91,15 @@ func (s *System) Region(name string, writeNanos float64) *Region {
 	if writeNanos <= 0 {
 		panic(fmt.Sprintf("hybrid: region %q needs positive write latency", name))
 	}
-	r := &Region{sys: s, base: s.next, writeNanos: writeNanos, name: name}
-	s.next += regionBytes
-	return r
+	if len(s.m.writeNanos) == maxRegions {
+		panic(fmt.Sprintf("hybrid: region %q exceeds the %d-region limit", name, maxRegions))
+	}
+	// The simulator reads the region table; inside Run it must be idle
+	// while the table grows.
+	s.sync()
+	idx := uint64(len(s.m.writeNanos))
+	s.m.writeNanos = append(s.m.writeNanos, writeNanos)
+	return &Region{sys: s, base: idx * regionBytes, tag: idx << evRegionShift, name: name}
 }
 
 // Name returns the region's label.
@@ -78,28 +108,126 @@ func (r *Region) Name() string { return r.name }
 // Base returns the region's physical base address.
 func (r *Region) Base() uint64 { return r.base }
 
-// Access implements mem.Sink.
-func (r *Region) Access(op mem.Op, addr uint64, size int) {
-	sys := r.sys
-	phys := r.base + addr
-	if op == mem.OpRead {
-		sys.reads++
-		level, nanos := sys.hier.Read(phys)
-		sys.readHits[level]++
-		sys.cacheReadNanos += nanos
-		sys.clock += nanos
-		if level == 0 {
-			done := sys.dev.Read(phys, sys.clock)
-			sys.memReadNanos += done - sys.clock
-			sys.clock = done
-		}
-		return
+// An event is one log record packed into a uint64: the op in bit 63 (1 =
+// write), the word count minus one in bits 48–62, the region index in
+// bits 40–47 and the byte offset within the region in bits 0–39. A
+// record of k words stands for k consecutive word accesses from its
+// offset, 4 bytes apart.
+const (
+	evRegionShift = 40
+	evCountShift  = 48
+	evWrite       = 1 << 63
+	evOffsetMask  = 1<<evRegionShift - 1
+	maxRegions    = 1 << (evCountShift - evRegionShift)
+	maxRangeWords = 1 << (63 - evCountShift)
+)
+
+// event packs one record of words accesses from addr.
+func (r *Region) event(op mem.Op, addr uint64, words int) uint64 {
+	if addr > evOffsetMask {
+		panic("hybrid: address offset exceeds the 40-bit event offset field")
 	}
-	sys.writes++
-	sys.hier.Write(phys)
-	resume := sys.dev.Write(phys, sys.clock, r.writeNanos)
-	sys.writeIssueNanos += resume - sys.clock
-	sys.clock = resume
+	// mem.OpRead is 0 and mem.OpWrite is 1: the op is the write bit.
+	return uint64(op)<<63 | uint64(words-1)<<evCountShift | r.tag | addr
+}
+
+// Access implements mem.Sink: it logs one word access.
+//
+//memlint:hotpath
+func (r *Region) Access(op mem.Op, addr uint64, size int) {
+	r.sys.push(r.event(op, addr, 1))
+}
+
+// AccessRange implements mem.RangeSink: it logs words consecutive word
+// accesses from addr as one record per maxRangeWords words.
+//
+//memlint:hotpath
+func (r *Region) AccessRange(op mem.Op, addr uint64, words int) {
+	for words > 0 {
+		k := min(words, maxRangeWords)
+		r.sys.push(r.event(op, addr, k))
+		addr += uint64(k) * 4
+		words -= k
+	}
+}
+
+// push appends one record to the log, handing the chunk over when full.
+//
+//memlint:hotpath
+func (s *System) push(ev uint64) {
+	s.buf[s.n] = ev
+	s.n++
+	if s.n == len(s.buf) {
+		s.handoff()
+	}
+}
+
+// apply simulates log records in order.
+func (m *machine) apply(evs []uint64) {
+	writeNanos := m.writeNanos
+	for _, ev := range evs {
+		region := ev >> evRegionShift & (maxRegions - 1)
+		phys := region*regionBytes + ev&evOffsetMask
+		words := ev>>evCountShift&(maxRangeWords-1) + 1
+		if ev&evWrite == 0 {
+			m.readRange(phys, words)
+		} else {
+			m.writeRange(phys, words, writeNanos[region])
+		}
+	}
+}
+
+// readRange simulates words consecutive loads from phys. Only the first
+// load of each cache line looks the line up: it leaves the line as L1's
+// MRU way, so each later load of that line in the range is an L1 hit that
+// changes nothing but the counters and the clock, charged word by word in
+// the per-access order.
+func (m *machine) readRange(phys, words uint64) {
+	for words > 0 {
+		m.read(phys)
+		inLine := (cache.LineBytes - phys%cache.LineBytes + 3) / 4
+		rest := min(words, inLine) - 1
+		m.hier.ReadAgain(rest)
+		m.reads += rest
+		m.readHits[1] += rest
+		for j := uint64(0); j < rest; j++ {
+			m.cacheReadNanos += cache.L1Nanos
+			m.clock += cache.L1Nanos
+		}
+		phys += 4 * (rest + 1)
+		words -= rest + 1
+	}
+}
+
+// read simulates one load.
+func (m *machine) read(phys uint64) {
+	m.reads++
+	level, nanos := m.hier.Read(phys)
+	m.readHits[level]++
+	m.cacheReadNanos += nanos
+	m.clock += nanos
+	if level == 0 {
+		done := m.dev.Read(phys, m.clock)
+		m.memReadNanos += done - m.clock
+		m.clock = done
+	}
+}
+
+// writeRange simulates words consecutive stores from phys. Only the first
+// store to each cache line touches the hierarchy: the touch leaves the
+// line MRU or absent at every level, where a repeat touch changes
+// nothing. Every store still goes to the device.
+func (m *machine) writeRange(phys, words uint64, writeNanos float64) {
+	for j := uint64(0); j < words; j++ {
+		if j == 0 || phys%cache.LineBytes < 4 {
+			m.hier.Write(phys)
+		}
+		m.writes++
+		resume := m.dev.Write(phys, m.clock, writeNanos)
+		m.writeIssueNanos += resume - m.clock
+		m.clock = resume
+		phys += 4
+	}
 }
 
 // Stats summarizes the system-level timing.
@@ -157,24 +285,28 @@ func (s Stats) Check() error {
 
 // Stats returns the current totals.
 func (s *System) Stats() Stats {
-	d := s.dev.Stats()
+	s.sync()
+	m := s.m
 	return Stats{
-		Clock:           s.clock,
-		Reads:           s.reads,
-		Writes:          s.writes,
-		L1Hits:          s.readHits[1],
-		L2Hits:          s.readHits[2],
-		L3Hits:          s.readHits[3],
-		MemReads:        s.readHits[0],
-		CacheReadNanos:  s.cacheReadNanos,
-		MemReadNanos:    s.memReadNanos,
-		WriteStallNanos: s.writeIssueNanos,
-		Device:          d,
+		Clock:           m.clock,
+		Reads:           m.reads,
+		Writes:          m.writes,
+		L1Hits:          m.readHits[1],
+		L2Hits:          m.readHits[2],
+		L3Hits:          m.readHits[3],
+		MemReads:        m.readHits[0],
+		CacheReadNanos:  m.cacheReadNanos,
+		MemReadNanos:    m.memReadNanos,
+		WriteStallNanos: m.writeIssueNanos,
+		Device:          m.dev.Stats(),
 	}
 }
 
 // Clock returns the CPU-visible time in nanoseconds.
-func (s *System) Clock() float64 { return s.clock }
+func (s *System) Clock() float64 {
+	s.sync()
+	return s.m.clock
+}
 
 // AdvanceClock adds idle time (e.g. CPU compute between memory phases);
 // it lets queued writes drain before the next burst.
@@ -182,5 +314,6 @@ func (s *System) AdvanceClock(nanos float64) {
 	if nanos < 0 {
 		panic("hybrid: cannot rewind the clock")
 	}
-	s.clock += nanos
+	s.sync()
+	s.m.clock += nanos
 }

@@ -66,7 +66,7 @@ func NewApproxSpaceAt(t float64, seed uint64) *ApproxSpace {
 func (s *ApproxSpace) SetSink(sink Sink) {
 	s.sink = sink
 	for _, w := range s.words {
-		w.sink = sink
+		w.bind(sink)
 	}
 }
 
@@ -82,10 +82,10 @@ func (s *ApproxSpace) Fold() Fold { return s.fold }
 func (s *ApproxSpace) Alloc(n int) Words {
 	w := &approxWords{
 		space: s,
-		sink:  s.sink,
 		base:  s.addrs.Take(n),
 		data:  make([]uint32, n),
 	}
+	w.bind(s.sink)
 	s.words = append(s.words, w)
 	return w
 }
@@ -115,9 +115,9 @@ func (s *ApproxSpace) Approximate() bool { return true }
 
 type approxWords struct {
 	space *ApproxSpace
-	// sink caches the space's sink (nil when untraced) so the hot path
-	// branches on one local field; SetSink keeps it current.
-	sink Sink
+	// sinkBinding caches the space's sink (nil when untraced) so the hot
+	// path branches on one local field; SetSink keeps it current.
+	sinkBinding
 	base uint64
 	data []uint32
 	raw  Raw
@@ -156,25 +156,28 @@ func (w *approxWords) Set(i int, v uint32) {
 }
 
 // GetSlice implements BulkWords. Reads never draw model randomness, so
-// the bulk path is a copy plus one counter bump; traced arrays fall back
-// to per-element Gets to emit the identical event stream.
+// the bulk path is a copy plus one counter bump. A traced array emits one
+// range event when its sink takes them, and falls back to per-element
+// Gets otherwise, so the event stream is the same either way.
 func (w *approxWords) GetSlice(i int, dst []uint32) {
-	if w.sink != nil {
+	if w.perWord() {
 		for j := range dst {
 			dst[j] = w.Get(i + j)
 		}
 		return
 	}
+	w.traceRange(OpRead, w.base+uint64(i)*4, len(dst))
 	w.raw.Reads += len(dst)
 	copy(dst, w.data[i:i+len(dst)])
 }
 
 // SetSlice implements BulkWords: the batch runs through the model in
 // index order, consuming the noise stream exactly as len(src) Set calls
-// would, with accounting amortized over the batch.
+// would, with accounting amortized over the batch. A traced array emits
+// one range event when its sink takes them, like GetSlice.
 func (w *approxWords) SetSlice(i int, src []uint32) {
 	s := w.space
-	if w.sink != nil || s.table == nil {
+	if w.perWord() || s.table == nil {
 		for j, v := range src {
 			w.Set(i+j, v)
 		}
@@ -190,6 +193,7 @@ func (w *approxWords) SetSlice(i int, src []uint32) {
 		}
 	}
 	w.raw.Corrupted += corrupted
+	w.traceRange(OpWrite, w.base+uint64(i)*4, len(src))
 }
 
 // Reorderable implements BulkWords: MLC reads are noiseless, so an

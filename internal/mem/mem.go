@@ -40,6 +40,42 @@ type Sink interface {
 	Access(op Op, addr uint64, size int)
 }
 
+// RangeSink is optionally implemented by a Sink that takes a run of
+// consecutive word accesses as one event. AccessRange(op, addr, words) is
+// defined as exactly the words calls Access(op, addr+4j, 4) for j = 0,
+// 1, …, words-1, in that order. Instrumented arrays serve a traced
+// single-array bulk call through it; a sink without it receives the
+// per-word events.
+type RangeSink interface {
+	Sink
+	AccessRange(op Op, addr uint64, words int)
+}
+
+// sinkBinding is an array's cached view of its space's sink: the sink
+// (nil when untraced) and, when it takes range events, the same sink as a
+// RangeSink. The assertion runs once per Alloc/SetSink, not per access.
+type sinkBinding struct {
+	sink  Sink
+	rsink RangeSink
+}
+
+func (b *sinkBinding) bind(s Sink) {
+	b.sink = s
+	b.rsink, _ = s.(RangeSink)
+}
+
+// perWord reports whether a bulk call must fall back to per-element
+// accesses: the array is traced by a sink that takes no range events.
+func (b *sinkBinding) perWord() bool { return b.sink != nil && b.rsink == nil }
+
+// traceRange emits words consecutive accesses from addr as one range
+// event when a range-capable sink is attached.
+func (b *sinkBinding) traceRange(op Op, addr uint64, words int) {
+	if b.rsink != nil {
+		b.rsink.AccessRange(op, addr, words)
+	}
+}
+
 // Raw is the integer access accounting mutated on the hot path. The
 // instrumented arrays touch only these counters per access; latency and
 // energy floats are derived from them at stage boundaries by the owning
@@ -232,8 +268,9 @@ func (a *AddressAllocator) Take(words int) uint64 {
 // BulkWords is optionally implemented by Words that support slice-at-once
 // access. A bulk call charges exactly the accesses the equivalent
 // per-element Get/Set loop would — same counts, same model randomness in
-// the same order, same trace events when a sink is attached — while
-// amortizing interface dispatch and accounting over the batch.
+// the same order, and, when a sink is attached, the same trace events:
+// per word, or as one RangeSink event that is defined to equal them —
+// while amortizing interface dispatch and accounting over the batch.
 type BulkWords interface {
 	// GetSlice reads words [i, i+len(dst)) into dst.
 	GetSlice(i int, dst []uint32)

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +221,67 @@ func TestSinkReceivesAccesses(t *testing.T) {
 	}
 	if sink.addrs[2] != sink.addrs[1] {
 		t.Errorf("read address %d != write address %d", sink.addrs[2], sink.addrs[1])
+	}
+}
+
+// rangeRecorder is a RangeSink that expands each range into the per-word
+// events it is defined to equal, counting the range calls.
+type rangeRecorder struct {
+	recordingSink
+	ranges int
+}
+
+func (r *rangeRecorder) AccessRange(op Op, addr uint64, words int) {
+	r.ranges++
+	for j := 0; j < words; j++ {
+		r.Access(op, addr+uint64(j)*4, 4)
+	}
+}
+
+type traceable interface {
+	Space
+	SetSink(Sink)
+}
+
+// TestTracedBulkRangeEventsMatchPerWord: with a RangeSink attached —
+// also one attached after Alloc — traced GetSlice/SetSlice emit range
+// events whose expansion is exactly the per-word stream a plain sink
+// receives, and the stored data and accounting are unchanged.
+func TestTracedBulkRangeEventsMatchPerWord(t *testing.T) {
+	spaces := map[string]func() traceable{
+		"precise": func() traceable { return NewPreciseSpace() },
+		"approx":  func() traceable { return NewApproxSpaceAt(0.1, 9) },
+	}
+	src := make([]uint32, 300)
+	for i := range src {
+		src[i] = uint32(i) * 2654435761
+	}
+	for name, newSpace := range spaces {
+		run := func(sink Sink) ([]uint32, Stats) {
+			sp := newSpace()
+			early := sp.Alloc(100)
+			sp.SetSink(sink)
+			late := sp.Alloc(len(src))
+			Load(late, src)
+			SetSlice(early, 3, src[:90])
+			buf := make([]uint32, 77)
+			GetSlice(late, 5, buf)
+			early.Set(0, buf[0])
+			_ = late.Get(299)
+			return append(PeekAll(early), PeekAll(late)...), sp.Stats()
+		}
+		plain, ranged := &recordingSink{}, &rangeRecorder{}
+		wantData, wantStats := run(plain)
+		gotData, gotStats := run(ranged)
+		if ranged.ranges != 3 {
+			t.Errorf("%s: %d range events, want 3 (one per bulk call)", name, ranged.ranges)
+		}
+		if !reflect.DeepEqual(ranged.ops, plain.ops) || !reflect.DeepEqual(ranged.addrs, plain.addrs) {
+			t.Errorf("%s: range events expand to a different stream than per-word events", name)
+		}
+		if !reflect.DeepEqual(gotData, wantData) || gotStats != wantStats {
+			t.Errorf("%s: range tracing changed data or stats: %v vs %v", name, gotStats, wantStats)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func NewPreciseSpace() *PreciseSpace {
 func (s *PreciseSpace) SetSink(sink Sink) {
 	s.sink = sink
 	for _, w := range s.words {
-		w.sink = sink
+		w.bind(sink)
 	}
 }
 
@@ -34,10 +34,10 @@ func (s *PreciseSpace) SetSink(sink Sink) {
 func (s *PreciseSpace) Alloc(n int) Words {
 	w := &preciseWords{
 		space: s,
-		sink:  s.sink,
 		base:  s.addrs.Take(n),
 		data:  make([]uint32, n),
 	}
+	w.bind(s.sink)
 	s.words = append(s.words, w)
 	return w
 }
@@ -64,10 +64,10 @@ func (s *PreciseSpace) Approximate() bool { return false }
 
 type preciseWords struct {
 	space *PreciseSpace
-	sink  Sink
-	base  uint64
-	data  []uint32
-	raw   Raw
+	sinkBinding
+	base uint64
+	data []uint32
+	raw  Raw
 }
 
 func (w *preciseWords) Len() int { return len(w.data) }
@@ -90,26 +90,29 @@ func (w *preciseWords) Set(i int, v uint32) {
 	w.data[i] = v
 }
 
-// GetSlice implements BulkWords.
+// GetSlice implements BulkWords. A traced array emits one range event
+// when its sink takes them, and per-element Gets otherwise.
 func (w *preciseWords) GetSlice(i int, dst []uint32) {
-	if w.sink != nil {
+	if w.perWord() {
 		for j := range dst {
 			dst[j] = w.Get(i + j)
 		}
 		return
 	}
+	w.traceRange(OpRead, w.base+uint64(i)*4, len(dst))
 	w.raw.Reads += len(dst)
 	copy(dst, w.data[i:i+len(dst)])
 }
 
-// SetSlice implements BulkWords.
+// SetSlice implements BulkWords, tracing like GetSlice.
 func (w *preciseWords) SetSlice(i int, src []uint32) {
-	if w.sink != nil {
+	if w.perWord() {
 		for j, v := range src {
 			w.Set(i+j, v)
 		}
 		return
 	}
+	w.traceRange(OpWrite, w.base+uint64(i)*4, len(src))
 	w.raw.Writes += len(src)
 	copy(w.data[i:i+len(src)], src)
 }

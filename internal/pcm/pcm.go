@@ -16,7 +16,10 @@
 // can share one device.
 package pcm
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes the device geometry and timing.
 type Config struct {
@@ -62,6 +65,13 @@ func (c Config) Validate() error {
 	if c.PageBytes < 64 {
 		return fmt.Errorf("pcm: PageBytes = %d too small", c.PageBytes)
 	}
+	// Page and bank are a shift and a mask of the address.
+	if c.PageBytes&(c.PageBytes-1) != 0 {
+		return fmt.Errorf("pcm: PageBytes = %d is not a power of two", c.PageBytes)
+	}
+	if banks := c.Ranks * c.BanksPerRank; banks&(banks-1) != 0 {
+		return fmt.Errorf("pcm: %d×%d banks is not a power of two", c.Ranks, c.BanksPerRank)
+	}
 	if c.ReadNanos <= 0 {
 		return fmt.Errorf("pcm: ReadNanos must be positive, got %v", c.ReadNanos)
 	}
@@ -78,11 +88,13 @@ type write struct {
 	dur   float64
 }
 
-// bank holds the per-bank schedule: pending writes (FIFO, already laid out
-// back-to-back in time) and the completion time of the most recently
-// finished/scheduled operation.
+// bank holds the per-bank schedule: the pending writes, FIFO and already
+// laid out back-to-back in time. They live in a fixed ring of
+// WriteQueueDepth entries — the n entries from head on, wrapping — so
+// retiring completed stores advances head instead of copying.
 type bank struct {
-	queue []write // scheduled, not yet known-complete stores
+	queue   []write // ring storage; scheduled, not yet known-complete stores
+	head, n int
 	// lastPage tracks the open row for the sequential-write discount;
 	// ^0 means no row open yet.
 	lastPage uint64
@@ -110,9 +122,11 @@ type Stats struct {
 // non-decreasing CPU clock supplied by the caller. Not safe for
 // concurrent use.
 type Sim struct {
-	cfg   Config
-	banks []bank
-	stats Stats
+	cfg       Config
+	banks     []bank
+	pageShift uint
+	bankMask  uint64
+	stats     Stats
 }
 
 // New returns a simulator for cfg. It panics on invalid configuration
@@ -121,26 +135,55 @@ func New(cfg Config) *Sim {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Sim{cfg: cfg, banks: make([]bank, cfg.Ranks*cfg.BanksPerRank)}
+	nb := cfg.Ranks * cfg.BanksPerRank
+	s := &Sim{
+		cfg:       cfg,
+		banks:     make([]bank, nb),
+		pageShift: uint(bits.TrailingZeros(uint(cfg.PageBytes))),
+		bankMask:  uint64(nb - 1),
+	}
+	ring := make([]write, nb*cfg.WriteQueueDepth)
 	for i := range s.banks {
+		d := cfg.WriteQueueDepth
+		s.banks[i].queue = ring[i*d : (i+1)*d : (i+1)*d]
 		s.banks[i].lastPage = ^uint64(0)
 	}
 	return s
 }
 
-// Bank returns the bank index servicing addr.
-func (s *Sim) Bank(addr uint64) int {
-	return int(addr / uint64(s.cfg.PageBytes) % uint64(len(s.banks)))
+// page returns addr's page number and the bank that page interleaves to.
+func (s *Sim) page(addr uint64) (uint64, *bank) {
+	page := addr >> s.pageShift
+	return page, &s.banks[page&s.bankMask]
 }
 
-// prune drops queue entries that completed at or before now.
-func (b *bank) prune(now float64) {
-	i := 0
-	for i < len(b.queue) && b.queue[i].start+b.queue[i].dur <= now {
-		i++
+// Bank returns the bank index servicing addr.
+func (s *Sim) Bank(addr uint64) int {
+	return int(addr >> s.pageShift & s.bankMask)
+}
+
+// at returns the j-th oldest pending store (j < b.n, or j == b.n to
+// address the free slot behind the tail).
+func (b *bank) at(j int) *write {
+	k := b.head + j
+	if k >= len(b.queue) {
+		k -= len(b.queue)
 	}
-	if i > 0 {
-		b.queue = b.queue[:copy(b.queue, b.queue[i:])]
+	return &b.queue[k]
+}
+
+// prune retires queue entries that completed at or before now.
+func (b *bank) prune(now float64) {
+	for b.n > 0 {
+		w := &b.queue[b.head]
+		if w.start+w.dur > now {
+			return
+		}
+		b.head++
+		if b.head == len(b.queue) {
+			b.head = 0
+		}
+		b.n--
 	}
 }
 
@@ -148,30 +191,30 @@ func (b *bank) prune(now float64) {
 // returns the time at which the CPU may continue (== now unless the write
 // queue was full).
 func (s *Sim) Write(addr uint64, now, durNanos float64) float64 {
-	b := &s.banks[s.Bank(addr)]
+	page, b := s.page(addr)
 	b.prune(now)
-	page := addr / uint64(s.cfg.PageBytes)
 	if f := s.cfg.SeqWriteFactor; f > 0 && f < 1 && page == b.lastPage {
 		durNanos *= f
 		s.stats.SeqWriteHits++
 	}
 	b.lastPage = page
-	if len(b.queue) >= s.cfg.WriteQueueDepth {
+	if b.n == len(b.queue) {
 		// Stall until the oldest queued store drains.
 		s.stats.WriteQueueFullEvents++
-		oldest := b.queue[0]
+		oldest := b.queue[b.head]
 		release := oldest.start + oldest.dur
 		s.stats.WriteStallNanos += release - now
 		now = release
 		b.prune(now)
 	}
 	start := now
-	if n := len(b.queue); n > 0 {
-		if tail := b.queue[n-1].start + b.queue[n-1].dur; tail > start {
-			start = tail
+	if b.n > 0 {
+		if last := b.at(b.n - 1); last.start+last.dur > start {
+			start = last.start + last.dur
 		}
 	}
-	b.queue = append(b.queue, write{start: start, dur: durNanos})
+	*b.at(b.n) = write{start: start, dur: durNanos}
+	b.n++
 	s.stats.Writes++
 	return now
 }
@@ -181,26 +224,26 @@ func (s *Sim) Write(addr uint64, now, durNanos float64) float64 {
 // service (if any), then executes; every store scheduled after it is
 // pushed back by the read's service time.
 func (s *Sim) Read(addr uint64, now float64) float64 {
-	b := &s.banks[s.Bank(addr)]
+	page, b := s.page(addr)
 	b.prune(now)
 	// Reads open the row too, closing any sequential write streak.
-	b.lastPage = addr / uint64(s.cfg.PageBytes)
+	b.lastPage = page
 	start := now
 	pending := 0 // index of the first store that has not begun service
-	if len(b.queue) > 0 && b.queue[0].start < now {
+	if first := &b.queue[b.head]; b.n > 0 && first.start < now {
 		// A store is mid-service; it cannot be preempted.
 		s.stats.ReadsDelayedByWrite++
-		start = b.queue[0].start + b.queue[0].dur
+		start = first.start + first.dur
 		pending = 1
 	}
 	done := start + s.cfg.ReadNanos
 	// The read jumps ahead of every not-yet-started store: push them
 	// back (uniformly, preserving their back-to-back layout) so the
 	// first resumes when the read finishes.
-	if pending < len(b.queue) && b.queue[pending].start < done {
-		shift := done - b.queue[pending].start
-		for j := pending; j < len(b.queue); j++ {
-			b.queue[j].start += shift
+	if pending < b.n && b.at(pending).start < done {
+		shift := done - b.at(pending).start
+		for j := pending; j < b.n; j++ {
+			b.at(j).start += shift
 		}
 	}
 	s.stats.Reads++
@@ -214,7 +257,7 @@ func (s *Sim) Stats() Stats { return s.stats }
 // QueueDepth returns the number of stores pending in addr's bank at time
 // now — exposed for tests.
 func (s *Sim) QueueDepth(addr uint64, now float64) int {
-	b := &s.banks[s.Bank(addr)]
+	_, b := s.page(addr)
 	b.prune(now)
-	return len(b.queue)
+	return b.n
 }

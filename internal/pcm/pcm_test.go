@@ -1,8 +1,11 @@
 package pcm
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"approxsort/internal/rng"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -18,6 +21,138 @@ func TestConfigValidate(t *testing.T) {
 	for i, c := range bad {
 		if c.Validate() == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+func TestConfigRejectsNonPowerOfTwo(t *testing.T) {
+	pages := DefaultConfig()
+	pages.PageBytes = 3000
+	banks := DefaultConfig()
+	banks.Ranks = 3
+	for name, c := range map[string]Config{"page": pages, "banks": banks} {
+		if c.Validate() == nil {
+			t.Errorf("non-power-of-two %s accepted", name)
+		}
+	}
+}
+
+// shiftSim is the copy-shift bank queue the ring replaced: each bank's
+// pending stores in a slice whose completed prefix is copied away, with
+// division-based page and bank mapping. It is the oracle for Sim.
+type shiftSim struct {
+	cfg      Config
+	queues   [][]write
+	lastPage []uint64
+	stats    Stats
+}
+
+func newShiftSim(cfg Config) *shiftSim {
+	s := &shiftSim{cfg: cfg, queues: make([][]write, cfg.Ranks*cfg.BanksPerRank)}
+	for range s.queues {
+		s.lastPage = append(s.lastPage, ^uint64(0))
+	}
+	return s
+}
+
+func (s *shiftSim) bank(addr uint64) int {
+	return int(addr / uint64(s.cfg.PageBytes) % uint64(len(s.queues)))
+}
+
+func (s *shiftSim) prune(b int, now float64) {
+	q := s.queues[b]
+	i := 0
+	for i < len(q) && q[i].start+q[i].dur <= now {
+		i++
+	}
+	s.queues[b] = q[:copy(q, q[i:])]
+}
+
+func (s *shiftSim) write(addr uint64, now, dur float64) float64 {
+	b := s.bank(addr)
+	s.prune(b, now)
+	page := addr / uint64(s.cfg.PageBytes)
+	if f := s.cfg.SeqWriteFactor; f > 0 && f < 1 && page == s.lastPage[b] {
+		dur *= f
+		s.stats.SeqWriteHits++
+	}
+	s.lastPage[b] = page
+	if q := s.queues[b]; len(q) >= s.cfg.WriteQueueDepth {
+		s.stats.WriteQueueFullEvents++
+		release := q[0].start + q[0].dur
+		s.stats.WriteStallNanos += release - now
+		now = release
+		s.prune(b, now)
+	}
+	start := now
+	if q := s.queues[b]; len(q) > 0 && q[len(q)-1].start+q[len(q)-1].dur > start {
+		start = q[len(q)-1].start + q[len(q)-1].dur
+	}
+	s.queues[b] = append(s.queues[b], write{start: start, dur: dur})
+	s.stats.Writes++
+	return now
+}
+
+func (s *shiftSim) read(addr uint64, now float64) float64 {
+	b := s.bank(addr)
+	s.prune(b, now)
+	s.lastPage[b] = addr / uint64(s.cfg.PageBytes)
+	q := s.queues[b]
+	start, pending := now, 0
+	if len(q) > 0 && q[0].start < now {
+		s.stats.ReadsDelayedByWrite++
+		start = q[0].start + q[0].dur
+		pending = 1
+	}
+	done := start + s.cfg.ReadNanos
+	if pending < len(q) && q[pending].start < done {
+		shift := done - q[pending].start
+		for j := pending; j < len(q); j++ {
+			q[j].start += shift
+		}
+	}
+	s.stats.Reads++
+	s.stats.ReadStallNanos += done - now
+	return done
+}
+
+// TestRingQueueMatchesCopyShift drives Sim and the copy-shift oracle with
+// one random read/write stream — few banks, shallow queues, irregular
+// service times, with and without the sequential-write discount — and
+// requires bit-identical completion times, queue depths and Stats.
+func TestRingQueueMatchesCopyShift(t *testing.T) {
+	for _, seqFactor := range []float64{0, 0.6} {
+		cfg := DefaultConfig()
+		cfg.WriteQueueDepth = 5
+		cfg.SeqWriteFactor = seqFactor
+		s, ref := New(cfg), newShiftSim(cfg)
+		r := rng.New(17)
+		now := 0.0
+		for i := 0; i < 200000; i++ {
+			addr := uint64(r.Intn(4*4096)) + uint64(r.Intn(3))*4096*32
+			var got, want float64
+			if r.Bernoulli(0.3) {
+				got, want = s.Read(addr, now), ref.read(addr, now)
+			} else {
+				dur := 300 + 700*r.Float64()
+				got, want = s.Write(addr, now, dur), ref.write(addr, now, dur)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("factor %v op %d: resume %v, oracle %v", seqFactor, i, got, want)
+			}
+			now = got + 100*r.Float64()
+			if i%97 == 0 {
+				ref.prune(ref.bank(addr), now)
+				if d, w := s.QueueDepth(addr, now), len(ref.queues[ref.bank(addr)]); d != w {
+					t.Fatalf("factor %v op %d: QueueDepth %d, oracle %d", seqFactor, i, d, w)
+				}
+			}
+		}
+		if got, want := fmt.Sprintf("%+x", s.Stats()), fmt.Sprintf("%+x", ref.stats); got != want {
+			t.Fatalf("factor %v: stats %s, oracle %s", seqFactor, got, want)
+		}
+		if st := s.Stats(); st.WriteQueueFullEvents == 0 || st.ReadsDelayedByWrite == 0 {
+			t.Errorf("factor %v: stream never stalled (%+v)", seqFactor, st)
 		}
 	}
 }

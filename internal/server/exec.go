@@ -149,29 +149,37 @@ func planView(plan core.Plan) *PlanView {
 // executeHybrid runs approx-refine with both spaces sinked into one
 // Table 1 memory system, plus the precise-only baseline for the measured
 // write reduction. The approximate region's device clock charges the
-// backend's modelled mean write latency.
+// backend's modelled mean write latency. The run and its verify chain
+// execute inside sys.Run, so the memory-system simulation overlaps both.
 func executeHybrid(res *JobResult, keys []uint32, alg sorts.Algorithm, req *SortRequest, seed uint64) error {
 	b, pt := req.backend, req.point
 	sys := hybrid.New()
-	out, err := core.Run(keys, core.Config{
-		Algorithm:   alg,
-		NewSpace:    func(s uint64) core.Space { return b.NewApprox(pt, s) },
-		Seed:        seed,
-		PreciseSink: sys.Region("precise", mlc.PreciseWriteNanos),
-		ApproxSink:  sys.Region("approx", b.ApproxWriteNanos(pt)),
+	precise := sys.Region("precise", mlc.PreciseWriteNanos)
+	approx := sys.Region("approx", b.ApproxWriteNanos(pt))
+	var out core.Result
+	var err error
+	sys.Run(func() {
+		out, err = core.Run(keys, core.Config{
+			Algorithm:   alg,
+			NewSpace:    func(s uint64) core.Space { return b.NewApprox(pt, s) },
+			Seed:        seed,
+			PreciseSink: precise,
+			ApproxSink:  approx,
+		})
+		if err != nil {
+			return
+		}
+		// Every served job passes through the full invariant checker —
+		// held to the backend's accounting identities — plus the
+		// memory-system consistency check below before its result is
+		// stored — a routing or refine regression fails the job loudly
+		// instead of returning a slightly-wrong payload.
+		if err = verify.CheckRefineRun(keys, out, b.Identities(pt)).Err(); err != nil {
+			return
+		}
+		err = verify.CheckAlgorithmWrites(alg, out.Report).Err()
 	})
 	if err != nil {
-		return err
-	}
-	// Every served job passes through the full invariant checker — held
-	// to the backend's accounting identities — plus the memory-system
-	// consistency check before its result is stored — a routing or refine
-	// regression fails the job loudly instead of returning a
-	// slightly-wrong payload.
-	if err := verify.CheckRefineRun(keys, out, b.Identities(pt)).Err(); err != nil {
-		return err
-	}
-	if err := verify.CheckAlgorithmWrites(alg, out.Report).Err(); err != nil {
 		return err
 	}
 	if err := sys.Stats().Check(); err != nil {
@@ -198,28 +206,34 @@ func executeHybrid(res *JobResult, keys []uint32, alg sorts.Algorithm, req *Sort
 
 // executePrecise runs the traditional sort — keys and IDs both precise —
 // through its own memory system. It is the baseline, so ActualWR is 0 by
-// construction and Baseline mirrors the run itself.
+// construction and Baseline mirrors the run itself. The sort and its
+// output check execute inside sys.Run, like executeHybrid's.
 func executePrecise(res *JobResult, keys []uint32, alg sorts.Algorithm, req *SortRequest, seed uint64) error {
 	n := len(keys)
 	sys := hybrid.New()
+	region := sys.Region("precise", mlc.PreciseWriteNanos)
 	space := mem.NewPreciseSpace()
-	p := sorts.Pair{Keys: space.Alloc(n), IDs: space.Alloc(n)}
-	mem.Load(p.Keys, keys)
-	mem.Load(p.IDs, dataset.IDs(n))
-	// Accounting and the device clock start after warm-up, matching
-	// core.Run and the paper's methodology.
-	space.ResetStats()
-	space.SetSink(sys.Region("precise", mlc.PreciseWriteNanos))
-	alg.Sort(p, sorts.Env{KeySpace: space, IDSpace: space, R: rng.New(seed)})
-
-	st := space.Stats()
-	sorted := mem.PeekAll(p.Keys) //nolint:memescape // response extraction after the accounted run
-	// The precise path has no stage accounting, but its output contract
-	// is identical: sorted, a permutation, and equal to the reference
-	// oracle sort.
-	if err := verify.CheckOutput(keys, sorted).Err(); err != nil {
+	var sorted []uint32
+	var err error
+	sys.Run(func() {
+		p := sorts.Pair{Keys: space.Alloc(n), IDs: space.Alloc(n)}
+		mem.Load(p.Keys, keys)
+		mem.Load(p.IDs, dataset.IDs(n))
+		// Accounting and the device clock start after warm-up, matching
+		// core.Run and the paper's methodology.
+		space.ResetStats()
+		space.SetSink(region)
+		alg.Sort(p, sorts.Env{KeySpace: space, IDSpace: space, R: rng.New(seed)})
+		sorted = mem.PeekAll(p.Keys) //nolint:memescape // response extraction after the accounted run
+		// The precise path has no stage accounting, but its output
+		// contract is identical: sorted, a permutation, and equal to
+		// the reference oracle sort.
+		err = verify.CheckOutput(keys, sorted).Err()
+	})
+	if err != nil {
 		return err
 	}
+	st := space.Stats()
 	if err := sys.Stats().Check(); err != nil {
 		return err
 	}

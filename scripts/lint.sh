@@ -4,6 +4,9 @@
 #
 # Runs, in order:
 #   1. go vet            — the stock suite
+#      gofmt             — every Go file outside the analyzer fixtures
+#                          (internal/analysis/testdata/, deliberately
+#                          unformatted inputs) must be gofmt-clean
 #   2. staticcheck       — check set committed in staticcheck.conf
 #                          (skipped with a notice when not installed;
 #                          CI always installs it)
@@ -32,6 +35,14 @@ done
 
 echo "== go vet"
 go vet ./...
+
+echo "== gofmt"
+unformatted=$(gofmt -l . | grep -v -e '^internal/analysis/testdata/' -e '^\.bench_build/' || true)
+if [ -n "$unformatted" ]; then
+  echo "gofmt: not formatted (run gofmt -w):" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 if command -v staticcheck >/dev/null 2>&1; then
   echo "== staticcheck ($(staticcheck -version 2>/dev/null | head -1))"
