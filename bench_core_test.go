@@ -21,10 +21,12 @@ import (
 	"approxsort/internal/experiments"
 	"approxsort/internal/hybrid"
 	"approxsort/internal/mem"
+	"approxsort/internal/memmodel"
 	"approxsort/internal/mlc"
 	"approxsort/internal/rng"
 	"approxsort/internal/server"
 	"approxsort/internal/sorts"
+	"approxsort/internal/verify"
 )
 
 // BenchmarkCoreTableWriteWord is the table-write microbench: one accounted
@@ -166,5 +168,28 @@ func BenchmarkCoreMemsim(b *testing.B) {
 			}
 			b.ReportMetric(clock/n, "pcm_ns/rec")
 		})
+	}
+}
+
+// BenchmarkCoreVerifyRefineRun is the verify audit sortd runs on every
+// finished hybrid job: verify.CheckRefineRun alone over an n=1M
+// onesweep-lsd result at T=0.055 (the inmem-hybrid-1m job), with the
+// PCM-MLC identity set. The sort runs once, outside the timer.
+func BenchmarkCoreVerifyRefineRun(b *testing.B) {
+	keys := dataset.Uniform(1000000, benchSeed)
+	alg, err := sorts.New("onesweep-lsd", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Run(keys, core.Config{Algorithm: alg, T: 0.055, Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := memmodel.MustGet(memmodel.PCMMLC).Identities(memmodel.Point{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := verify.CheckRefineRun(keys, res, id).Err(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package mlc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"approxsort/internal/rng"
 )
@@ -207,60 +208,76 @@ func sampleCum(r *rng.Source, cum []float64) int {
 //
 //memlint:hotpath
 func (t *Table) WriteWord(r *rng.Source, w uint32) (uint32, int) {
-	// The RNG state lives in locals for the word's 2·cells draws (the
-	// inlined Uint64 otherwise reloads and spills all four state words
-	// through the pointer on every draw), and is stored back once.
-	local := *r
-	var stored uint32
-	total := 0
-	levels := t.p.Levels
-	maxIters := t.p.MaxIters
-	resThr, itersThr := t.resThr, t.itersThr
-	resPfx, itersPfx := t.resPfx, t.itersPfx
-	bits, mask := t.bitsPerCell, t.levelMask
-	for shift := uint(0); shift < 32; shift += bits {
-		level := int(w >> shift & mask)
-		k := local.Uint64() >> 11
-		i := int(resPfx[level<<8|int(k>>45)])
-		if i >= scanPfx {
-			i &= scanPfx - 1
-			for base := level * levels; k >= resThr[base+i]; {
-				i++
-			}
-		}
-		k = local.Uint64() >> 11
-		j := int(itersPfx[level<<8|int(k>>45)])
-		if j >= scanPfx {
-			j &= scanPfx - 1
-			for base := level * maxIters; k >= itersThr[base+j]; {
-				j++
-			}
-		}
-		stored |= uint32(i) << shift
-		total += j + 1
-	}
-	*r = local
-	return stored, total
+	stored, iters, s := t.word(r.Stream, w)
+	r.Stream = s
+	return stored, iters
 }
 
 // WriteWords writes each src word through the model, storing the
 // read-back values in dst[i] and returning the total pulse count across
 // the batch. It consumes the RNG stream exactly as len(src) sequential
 // WriteWord calls would — bulk callers (mem.SetSlice) stay bit-identical
-// to per-word loops — while amortizing the per-call state loads.
+// to per-word loops — and keeps the generator state out of memory for
+// the whole batch.
 //
 //memlint:hotpath
 func (t *Table) WriteWords(r *rng.Source, dst, src []uint32) int {
 	if len(dst) < len(src) {
 		panic("mlc: WriteWords dst shorter than src")
 	}
-	total := 0
+	s := r.Stream
+	total, iters := 0, 0
 	for i, w := range src {
-		stored, iters := t.WriteWord(r, w)
-		dst[i] = stored
+		dst[i], iters, s = t.word(s, w)
 		total += iters
 	}
+	r.Stream = s
 	return total
+}
+
+// word is the sampler kernel behind WriteWord and WriteWords. The
+// generator state travels by value (rng.Stream) through the word's
+// 2·cells draws and back to the caller, so its four words can stay in
+// registers for the whole word; held in a Source they are loaded and
+// stored through memory on every draw. To leave registers for the
+// state, table fields are read per use rather than cached in locals,
+// and x packs the word being written, the stored result and the loop
+// bound into one uint64: at step c, cell c of w sits in x's low bits,
+// is replaced by its read-back level and rotates to the top. After 32
+// bits of rotation the top half is the stored word, and the sentinel
+// planted at bit 32 has reached bit 0 with nothing else below bit 32.
+//
+//memlint:hotpath
+func (t *Table) word(s rng.Stream, w uint32) (uint32, int, rng.Stream) {
+	x := uint64(w) | 1<<32
+	total := 0
+	for {
+		level := int(x & uint64(t.levelMask))
+		var k uint64
+		k, s = s.Next()
+		k >>= 11
+		i := int(t.resPfx[level<<8|int(k>>45)])
+		if i >= scanPfx {
+			i &= scanPfx - 1
+			for base := level * t.p.Levels; k >= t.resThr[base+i]; {
+				i++
+			}
+		}
+		k, s = s.Next()
+		k >>= 11
+		j := int(t.itersPfx[level<<8|int(k>>45)])
+		if j >= scanPfx {
+			j &= scanPfx - 1
+			for base := level * t.p.MaxIters; k >= t.itersThr[base+j]; {
+				j++
+			}
+		}
+		total += j + 1
+		x = bits.RotateLeft64(x^uint64(level^i), -int(t.bitsPerCell))
+		if uint32(x) == 1 {
+			return uint32(x >> 32), total, s
+		}
+	}
 }
 
 // CellsPerWord implements WordModel.

@@ -16,10 +16,36 @@ import (
 	"math/bits"
 )
 
-// Source is a deterministic pseudo-random number source.
-// The zero value is not valid; use New.
-type Source struct {
+// Stream is the bare xoshiro256** state as a value. Next returns the
+// advanced state rather than mutating it, so a hot loop that threads a
+// Stream through local variables keeps all four words in registers:
+// four uint64 fields is the largest struct Go's SSA backend decomposes,
+// while the whole Source (with its Norm spare) stays in memory and turns
+// every draw into a store-to-load chain through the stack.
+type Stream struct {
 	s0, s1, s2, s3 uint64
+}
+
+// Next returns the stream's next 64-bit output and the advanced state.
+// The body is the reference xoshiro256** step (s2 ^= s0; s3 ^= s1;
+// s1 ^= s2; s0 ^= s3; s2 ^= s1<<17; s3 = rotl(s3, 45)) written in
+// single-assignment form, which keeps Source.Uint64 within the
+// compiler's inlining budget.
+func (s Stream) Next() (uint64, Stream) {
+	s2 := s.s2 ^ s.s0
+	s3 := s.s3 ^ s.s1
+	return bits.RotateLeft64(s.s1*5, 7) * 9,
+		Stream{s.s0 ^ s3, s.s1 ^ s2, s2 ^ s.s1<<17, bits.RotateLeft64(s3, 45)}
+}
+
+// Source is a deterministic pseudo-random number source. Its embedded
+// Stream is the generator state: a hot loop may copy it out, draw with
+// Stream.Next, and store it back, consuming exactly the values Uint64
+// would have returned. Next promoted onto a Source leaves the Source
+// where it was; Uint64 is the advancing draw. The zero value is not
+// valid; use New.
+type Source struct {
+	Stream
 	// spare holds a cached standard normal variate produced by the polar
 	// method, which generates two at a time.
 	spare    float64
@@ -113,19 +139,11 @@ func Split(base uint64, coords ...any) uint64 {
 	return splitmix(h)
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s1*5, 7) * 9
-	t := r.s1 << 17
-	r.s2 ^= r.s0
-	r.s3 ^= r.s1
-	r.s1 ^= r.s2
-	r.s0 ^= r.s3
-	r.s2 ^= t
-	r.s3 = rotl(r.s3, 45)
-	return result
+	v, s := r.Stream.Next()
+	r.Stream = s
+	return v
 }
 
 // Uint32 returns a uniformly distributed 32-bit value.

@@ -2,7 +2,7 @@ package verify
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ReferenceSort returns the plain precise sort of input — the differential
@@ -10,9 +10,8 @@ import (
 // library, deliberately sharing no code with internal/sorts: a bug in the
 // instrumented algorithms or the refine pipeline cannot also hide here.
 func ReferenceSort(input []uint32) []uint32 {
-	out := make([]uint32, len(input))
-	copy(out, input)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(input)
+	slices.Sort(out)
 	return out
 }
 

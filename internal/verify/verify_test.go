@@ -119,6 +119,25 @@ func TestCheckFiresOnTamperedOutput(t *testing.T) {
 		}
 	})
 
+	t.Run("sorted but not a permutation", func(t *testing.T) {
+		bad := res
+		bad.Keys = append([]uint32(nil), res.Keys...)
+		i := 250
+		for bad.Keys[i-1] == bad.Keys[i] {
+			i++
+		}
+		bad.Keys[i] = bad.Keys[i-1] // still sorted; one key duplicated, one lost
+		rep := Check(keys, bad)
+		for _, code := range []string{"not-permutation", "oracle-diff"} {
+			if !hasCode(rep, code) {
+				t.Errorf("missing violation %q in %v", code, rep.Violations)
+			}
+		}
+		if hasCode(rep, "output-unsorted") {
+			t.Errorf("sorted output flagged unsorted: %v", rep.Violations)
+		}
+	})
+
 	t.Run("duplicated id", func(t *testing.T) {
 		bad := res
 		bad.IDs = append([]uint32(nil), res.IDs...)
