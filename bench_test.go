@@ -162,7 +162,7 @@ func BenchmarkFig11Breakdown(b *testing.B) {
 // --- Equation 4: analytic cost model ---
 
 func BenchmarkCostModelEq4(b *testing.B) {
-	m := core.CostModel{P: 0.67, Alpha: core.AlphaQuicksort}
+	m := core.CostModel{P: 0.67, Alpha: sorts.AlphaQuicksort}
 	var wr float64
 	for i := 0; i < b.N; i++ {
 		wr = m.WriteReduction(16000000, 200000)

@@ -31,12 +31,15 @@ func (e *ShardError) Error() string {
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // JobParams are the sort parameters a shard job is submitted with,
-// mirroring the /v1/sort/stream octet-stream query form.
+// mirroring the /v1/sort/stream octet-stream query form: each field
+// travels under its JSON request name, Params as one params.<name>
+// parameter per backend parameter.
 type JobParams struct {
 	Algorithm     string
 	Bits          int
 	Mode          string
 	Backend       string
+	Params        map[string]float64
 	T             float64
 	Seed          uint64
 	RunSize       int
@@ -58,6 +61,9 @@ func (p JobParams) query() url.Values {
 	set("formation", p.Formation)
 	if p.Bits != 0 {
 		q.Set("bits", strconv.Itoa(p.Bits))
+	}
+	for name, v := range p.Params {
+		q.Set("params."+name, strconv.FormatFloat(v, 'g', -1, 64))
 	}
 	if p.T != 0 {
 		q.Set("t", strconv.FormatFloat(p.T, 'g', -1, 64))

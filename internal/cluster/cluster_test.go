@@ -10,7 +10,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +21,7 @@ import (
 
 	"approxsort/internal/cluster"
 	"approxsort/internal/dataset"
+	"approxsort/internal/rng"
 	"approxsort/internal/server"
 	"approxsort/internal/verify"
 )
@@ -429,5 +433,126 @@ func TestClientSurfacesServerErrors(t *testing.T) {
 	}
 	if err := c.InstallTable(ctx, []byte(`{"params":{}}`)); err == nil {
 		t.Error("InstallTable with invalid artifact succeeded")
+	}
+}
+
+// TestShardsReceiveEveryJobParam sets every cluster.JobParams field to a
+// non-default value under an explicit mode and checks each shard job's
+// own record reflects it; the seed, which no record echoes, is checked
+// on the shard's submission instead. Fields are enumerated by
+// reflection, so a field added to JobParams without a path to the
+// shards, or without a check here, fails the test.
+func TestShardsReceiveEveryJobParam(t *testing.T) {
+	type shardJob struct {
+		rec   server.Job
+		query url.Values
+		index int
+	}
+	checks := map[string]func(p cluster.JobParams, sj shardJob) bool{
+		"Algorithm": func(p cluster.JobParams, sj shardJob) bool { return sj.rec.Algorithm == p.Algorithm },
+		"Bits": func(p cluster.JobParams, sj shardJob) bool {
+			return sj.rec.Result.Algorithm == fmt.Sprintf("%d-bit LSD", p.Bits)
+		},
+		"Mode":    func(p cluster.JobParams, sj shardJob) bool { return sj.rec.Result.Mode == p.Mode },
+		"Backend": func(p cluster.JobParams, sj shardJob) bool { return sj.rec.Backend == p.Backend },
+		"Params": func(p cluster.JobParams, sj shardJob) bool {
+			for k, v := range p.Params {
+				if sj.rec.Result.Params[k] != v {
+					return false
+				}
+			}
+			return true
+		},
+		"T": func(p cluster.JobParams, sj shardJob) bool { return sj.rec.T == p.T },
+		"Seed": func(p cluster.JobParams, sj shardJob) bool {
+			return sj.query.Get("seed") == strconv.FormatUint(rng.Split(p.Seed, "cluster", "shard", sj.index), 10)
+		},
+		"RunSize":   func(p cluster.JobParams, sj shardJob) bool { return sj.rec.Result.Extsort.RunSize == p.RunSize },
+		"FanIn":     func(p cluster.JobParams, sj shardJob) bool { return sj.rec.Result.Extsort.FanIn == p.FanIn },
+		"Formation": func(p cluster.JobParams, sj shardJob) bool { return sj.rec.Result.Extsort.Formation == p.Formation },
+		"RefineAtMerge": func(p cluster.JobParams, sj shardJob) bool {
+			return sj.rec.Result.Extsort.RefineAtMerge == p.RefineAtMerge
+		},
+	}
+	base := cluster.JobParams{
+		Algorithm: "lsd", Bits: 7, Mode: "hybrid", Seed: 77,
+		RunSize: 4000, FanIn: 3, Formation: "chunk", RefineAtMerge: true,
+	}
+	// t is pcm-mlc's only parameter, so T and Params cannot both be set
+	// on one valid job: one job per backend covers both.
+	mlcJob, spinJob := base, base
+	mlcJob.Backend, mlcJob.T = "pcm-mlc", 0.07
+	spinJob.Backend, spinJob.Params = "spintronic", map[string]float64{"saving": 0.5}
+	jobs := []cluster.JobParams{mlcJob, spinJob}
+
+	typ := reflect.TypeOf(cluster.JobParams{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if checks[name] == nil {
+			t.Errorf("JobParams.%s has no shard-side check", name)
+		}
+		set := false
+		for _, p := range jobs {
+			set = set || !reflect.ValueOf(p).Field(i).IsZero()
+		}
+		if !set {
+			t.Errorf("no test job sets JobParams.%s", name)
+		}
+	}
+
+	// Two shard nodes that record each stream submission's query.
+	var mu sync.Mutex
+	queries := map[string]url.Values{}
+	var nodes []string
+	for i := 0; i < 2; i++ {
+		s := server.New(server.Config{Workers: 2, StreamDir: t.TempDir()})
+		h := s.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/sort/stream" {
+				mu.Lock()
+				queries["http://"+r.Host] = r.URL.Query()
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		t.Cleanup(func() { s.Shutdown(context.Background()) })
+		nodes = append(nodes, ts.URL)
+	}
+
+	keys := encode(dataset.Uniform(60000, 17))
+	for _, p := range jobs {
+		co, err := cluster.New(cluster.Config{Nodes: nodes, Job: p, TempDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := co.Sort(context.Background(), bytes.NewReader(keys), io.Discard)
+		if err != nil {
+			t.Fatalf("%s job: %v", p.Backend, err)
+		}
+		if len(stats.Shards) != len(nodes) {
+			t.Fatalf("%s job fanned out to %d shards, want %d", p.Backend, len(stats.Shards), len(nodes))
+		}
+		for i, sh := range stats.Shards {
+			resp, err := http.Get(sh.Node + "/v1/jobs/" + sh.JobID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec server.Job
+			err = json.NewDecoder(resp.Body).Decode(&rec)
+			resp.Body.Close()
+			if err != nil || rec.Result == nil || rec.Result.Extsort == nil {
+				t.Fatalf("%s job, shard %d: record %+v (%v)", p.Backend, i, rec, err)
+			}
+			mu.Lock()
+			sj := shardJob{rec: rec, query: queries[sh.Node], index: i}
+			mu.Unlock()
+			for name, ok := range checks {
+				if field := reflect.ValueOf(p).FieldByName(name); !field.IsZero() && !ok(p, sj) {
+					t.Errorf("%s job, shard %d: JobParams.%s = %v did not reach the shard (submitted %v)",
+						p.Backend, i, name, field, sj.query)
+				}
+			}
+		}
 	}
 }

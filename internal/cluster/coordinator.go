@@ -272,11 +272,11 @@ func (co *Coordinator) Sort(ctx context.Context, src io.Reader, out io.Writer) (
 // chosen shard count.
 func (co *Coordinator) plan(sample []uint32, records int64) (core.Plan, int, error) {
 	job := co.cfg.Job
-	alg, err := resolveAlgorithm(job.Algorithm, job.Bits)
+	alg, err := sorts.Resolve(job.Algorithm, job.Bits)
 	if err != nil {
 		return core.Plan{}, 0, err
 	}
-	backend, point, err := resolvePoint(job.Backend, job.T)
+	backend, point, err := memmodel.Resolve(job.Backend, job.Params, job.T)
 	if err != nil {
 		return core.Plan{}, 0, err
 	}
@@ -300,46 +300,6 @@ func (co *Coordinator) plan(sample []uint32, records int64) (core.Plan, int, err
 		return core.Plan{}, 0, err
 	}
 	return plan, plan.Sharded.Shards, nil
-}
-
-// resolveAlgorithm mirrors the sortd API's algorithm names for the
-// coordinator's pilot.
-func resolveAlgorithm(name string, bits int) (sorts.Algorithm, error) {
-	if bits == 0 {
-		bits = 6
-	}
-	switch name {
-	case "", "auto", "msd":
-		return sorts.MSD{Bits: bits}, nil
-	case "lsd":
-		return sorts.LSD{Bits: bits}, nil
-	case "quicksort":
-		return sorts.Quicksort{}, nil
-	case "mergesort":
-		return sorts.Mergesort{}, nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown algorithm %q", name)
-	}
-}
-
-// resolvePoint resolves the backend operating point for the pilot.
-func resolvePoint(name string, t float64) (memmodel.Backend, memmodel.Point, error) {
-	b, err := memmodel.Get(name)
-	if err != nil {
-		return nil, memmodel.Point{}, err
-	}
-	pt := memmodel.Point{Backend: b.Name()}
-	if t != 0 {
-		if b.Name() != memmodel.PCMMLC {
-			return nil, memmodel.Point{}, fmt.Errorf("cluster: t applies only to the %s backend", memmodel.PCMMLC)
-		}
-		pt.Params = map[string]float64{"t": t}
-	}
-	pt, err = b.Normalize(pt)
-	if err != nil {
-		return nil, memmodel.Point{}, err
-	}
-	return b, pt, nil
 }
 
 // spoolAndSample copies the input stream to path while feeding every
@@ -437,13 +397,16 @@ func shardPath(dir string, i int) string {
 // warmTables relays the calibrated table artifact from the first shard
 // to the rest. The coordinator treats the artifact as opaque bytes.
 func (co *Coordinator) warmTables(ctx context.Context, nodes []string) error {
-	if b, err := memmodel.Get(co.cfg.Job.Backend); err != nil || b.Name() != memmodel.PCMMLC {
-		if err != nil {
-			return err
-		}
+	job := co.cfg.Job
+	b, pt, err := memmodel.Resolve(job.Backend, job.Params, job.T)
+	if err != nil {
+		return err
+	}
+	if b.Name() != memmodel.PCMMLC {
 		return fmt.Errorf("table warming applies only to the %s backend", memmodel.PCMMLC)
 	}
-	artifact, err := co.client(nodes[0]).FetchTable(ctx, co.cfg.Job.T)
+	t, _ := pt.Param("t")
+	artifact, err := co.client(nodes[0]).FetchTable(ctx, t)
 	if err != nil {
 		return err
 	}

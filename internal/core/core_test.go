@@ -193,7 +193,7 @@ func TestReportAccounting(t *testing.T) {
 	if r.Baseline.Writes == 0 {
 		t.Error("baseline missing")
 	}
-	alpha := AlphaQuicksort(4000)
+	alpha := sorts.AlphaQuicksort(4000)
 	if got := float64(r.Baseline.Writes); got < alpha || got > 4*alpha {
 		t.Errorf("baseline writes = %v, want around 2·α = %v", got, 2*alpha)
 	}
@@ -376,7 +376,7 @@ func TestCostModelConsistency(t *testing.T) {
 		n := int(nRaw)%10000 + 2
 		rem := int(remRaw) % n
 		p := float64(pRaw%100) / 100
-		m := CostModel{P: p, Alpha: AlphaMergesort}
+		m := CostModel{P: p, Alpha: sorts.AlphaMergesort}
 		direct := 1 - m.HybridWrites(n, rem)/m.BaselineWrites(n)
 		return math.Abs(direct-m.WriteReduction(n, rem)) < 1e-9
 	}
@@ -386,20 +386,20 @@ func TestCostModelConsistency(t *testing.T) {
 }
 
 func TestAlphaFunctions(t *testing.T) {
-	if AlphaQuicksort(1) != 0 || AlphaMergesort(0) != 0 {
+	if sorts.AlphaQuicksort(1) != 0 || sorts.AlphaMergesort(0) != 0 {
 		t.Error("α of trivial inputs should be 0")
 	}
-	if got := AlphaQuicksort(1024); math.Abs(got-1024*10/2) > 1e-9 {
-		t.Errorf("AlphaQuicksort(1024) = %v, want 5120", got)
+	if got := sorts.AlphaQuicksort(1024); math.Abs(got-1024*10/2) > 1e-9 {
+		t.Errorf("sorts.AlphaQuicksort(1024) = %v, want 5120", got)
 	}
-	if got := AlphaMergesort(1024); math.Abs(got-10240) > 1e-9 {
-		t.Errorf("AlphaMergesort(1024) = %v, want 10240", got)
+	if got := sorts.AlphaMergesort(1024); math.Abs(got-10240) > 1e-9 {
+		t.Errorf("sorts.AlphaMergesort(1024) = %v, want 10240", got)
 	}
-	if got := AlphaRadix(6)(100); got != 1200 {
-		t.Errorf("AlphaRadix(6)(100) = %v, want 1200 (6 passes × 2n)", got)
+	if got := sorts.AlphaRadix(6)(100); got != 1200 {
+		t.Errorf("sorts.AlphaRadix(6)(100) = %v, want 1200 (6 passes × 2n)", got)
 	}
-	if got := AlphaRadix(3)(100); got != 2200 {
-		t.Errorf("AlphaRadix(3)(100) = %v, want 2200 (11 passes × 2n)", got)
+	if got := sorts.AlphaRadix(3)(100); got != 2200 {
+		t.Errorf("sorts.AlphaRadix(3)(100) = %v, want 2200 (11 passes × 2n)", got)
 	}
 }
 

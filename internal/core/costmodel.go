@@ -11,18 +11,6 @@ import (
 // algorithm issues to sort n elements (Section 4.3).
 type AlphaFunc func(n int) float64
 
-// AlphaQuicksort returns αquicksort(n) ≈ n·log2(n)/2. The formulas live
-// with the algorithms' declared profiles in internal/sorts; these
-// re-exports keep the cost-model vocabulary in one place for callers.
-func AlphaQuicksort(n int) float64 { return sorts.AlphaQuicksort(n) }
-
-// AlphaMergesort returns αmergesort(n) ≈ n·log2(n).
-func AlphaMergesort(n int) float64 { return sorts.AlphaMergesort(n) }
-
-// AlphaRadix returns αLSD/MSD(n) for queue-bucket radix with b-bit digits:
-// two key writes per element per pass, ceil(32/b) passes.
-func AlphaRadix(bits int) AlphaFunc { return sorts.AlphaRadix(bits) }
-
 // AlphaFor returns the analytic α an algorithm declares in its registry
 // profile (sorts.Profiled). Algorithms without a profile — or whose
 // profile declares no analytic write model — cannot be routed by the

@@ -31,7 +31,7 @@ func ExampleRun() {
 
 // The Section 4.3 cost model predicts when the hybrid execution wins.
 func ExampleCostModel() {
-	m := core.CostModel{P: 0.67, Alpha: core.AlphaRadix(3)}
+	m := core.CostModel{P: 0.67, Alpha: sorts.AlphaRadix(3)}
 	fmt.Printf("WR(16M, Rem~=2%%) = %.3f\n", m.WriteReduction(16_000_000, 320_000))
 	fmt.Println("use hybrid:", m.UseHybrid(16_000_000, 320_000))
 	// Output:

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"approxsort/internal/sorts"
 )
 
 // This file extends the Equation 4 planner to out-of-core inputs with the
@@ -158,55 +156,20 @@ func (pl Planner) PlanExternal(sample []uint32, ext ExtConfig) (Plan, error) {
 	if err := ext.validate(); err != nil {
 		return Plan{}, err
 	}
-	cfg := pl.Config
-	cfg.SkipBaseline = true
-	cfg.MeasureSortedness = false
-	cfg.PreciseSink, cfg.ApproxSink = nil, nil
-	if err := cfg.validate(); err != nil {
+	pt, err := pl.pilot(sample)
+	if err != nil {
 		return Plan{}, err
 	}
-	alpha, err := AlphaFor(cfg.Algorithm)
-	if err != nil {
-		return Plan{}, fmt.Errorf("core: planner needs an analytic α: %w", err)
-	}
+	return pt.external(ext), nil
+}
 
-	m := pl.PilotSize
-	if m <= 0 {
-		m = 4096
-	}
-	if m > len(sample) {
-		m = len(sample)
-	}
-
-	p, pilotRatio := 1.0, 1.0
-	if m >= 2 {
-		pilot := pilotSample(sample, m)
-		res, err := Run(pilot, cfg)
-		if err != nil {
-			return Plan{}, err
-		}
-		p = measuredPilotP(res.Report)
-		pilotRatio = res.Report.RemTildeRatio()
-	}
+// external prices every run size and formation variant for a defaulted,
+// validated ext from the pilot measurement and keeps the cheapest.
+func (pt pilotRun) external(ext ExtConfig) Plan {
+	alpha, remAt := pt.alpha, pt.remAt
 	omega := ext.Omega
 	if omega <= 0 {
-		omega = p
-	}
-
-	// remAt extrapolates the pilot remainder ratio to a run of L records:
-	// corruption accumulates once per key write, so the ratio scales with
-	// the algorithm's writes per element, α(L)/L (as in Plan).
-	remAt := func(L int) int {
-		ratio := pilotRatio
-		if m >= 2 {
-			if am := alpha(m); am > 0 {
-				ratio *= (alpha(L) / float64(L)) / (am / float64(m))
-			}
-		}
-		if ratio > 1 {
-			ratio = 1
-		}
-		return int(ratio * float64(L))
+		omega = pt.p
 	}
 
 	model := CostModel{P: omega, Alpha: alpha}
@@ -311,47 +274,9 @@ func (pl Planner) PlanExternal(sample []uint32, ext ExtConfig) (Plan, error) {
 	best.PreciseWrites = bestPrecise
 
 	// The classic fields report the pilot measurement and the per-run
-	// Eq. 4 verdict at the chosen run length, with the same finite-value
-	// clamp Plan applies for JSON-bound service responses.
-	predictedRem := remAt(best.RunLength)
-	wr := CostModel{P: p, Alpha: alpha}.WriteReduction(best.RunLength, predictedRem)
-	if math.IsInf(wr, 0) || math.IsNaN(wr) {
-		wr = -1
-	}
-	return Plan{
-		UseHybrid:     best.UseHybrid,
-		PredictedWR:   wr,
-		P:             p,
-		PilotRemRatio: pilotRatio,
-		PredictedRem:  predictedRem,
-		PilotSize:     m,
-		External:      &best,
-	}, nil
-}
-
-// PlanExternalAuto runs the external planner for every candidate algorithm
-// and returns the plan with the lowest predicted External.TotalWrites —
-// each candidate already chose its own best run size and formation
-// variant, so the contest compares whole geometries, not just α. Ties
-// break to the earlier candidate (sorted-name rosters are deterministic).
-func (pl Planner) PlanExternalAuto(sample []uint32, ext ExtConfig, candidates []sorts.Candidate) (Plan, error) {
-	if len(candidates) == 0 {
-		return Plan{}, errors.New("core: PlanExternalAuto needs at least one candidate algorithm")
-	}
-	var best Plan
-	bestCost := math.Inf(1)
-	for _, c := range candidates {
-		cpl := pl
-		cpl.Config.Algorithm = c.Alg
-		plan, err := cpl.PlanExternal(sample, ext)
-		if err != nil {
-			return Plan{}, fmt.Errorf("core: auto candidate %q: %w", c.Name, err)
-		}
-		if plan.External.TotalWrites < bestCost {
-			bestCost = plan.External.TotalWrites
-			plan.Algorithm = c.Name
-			best = plan
-		}
-	}
-	return best, nil
+	// Eq. 4 verdict at the chosen run length.
+	plan := pt.verdict(best.RunLength)
+	plan.UseHybrid = best.UseHybrid
+	plan.External = &best
+	return plan
 }

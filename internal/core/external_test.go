@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"approxsort/internal/dataset"
@@ -152,5 +154,65 @@ func TestPlanExternalEmptySampleStillPlans(t *testing.T) {
 	}
 	if plan.External.UseHybrid {
 		t.Fatal("hybrid verdict without pilot evidence at ω=1 fallback")
+	}
+}
+
+// TestPlanExternalExtraPassSingleRun pins the single-run case: a
+// refine-at-merge plan whose data fits one run has no merge tree to ride
+// in, so the LIS~/REM fold costs a whole pass — MergePasses is bumped
+// 0 → 1 and the plan declares the extra pass explicitly.
+func TestPlanExternalExtraPassSingleRun(t *testing.T) {
+	plan := extPlan(t, sorts.MSD{Bits: 6}, 0.055, ExtConfig{
+		N: 10_000, MemBudget: 1 << 17, Replacement: true, AllowRefineAtMerge: true,
+	})
+	e := plan.External
+	if !e.RefineAtMerge {
+		t.Fatalf("refine-at-merge not selected for a single hybrid run: %+v", e)
+	}
+	if e.Runs != 1 || e.MergePasses != 1 {
+		t.Fatalf("single parts run needs exactly one folding pass: %+v", e)
+	}
+	if !e.ExtraPass {
+		t.Error("ExtraPass not set for the 0→1 pass bump")
+	}
+}
+
+// TestPlanExternalExtraPassFragmentCollapse pins the many-runs case: once
+// LIS~/REM part pairs exceed the fan-in, the fragment-collapse term is
+// charged and surfaced as an extra pass.
+func TestPlanExternalExtraPassFragmentCollapse(t *testing.T) {
+	plan := extPlan(t, sorts.MSD{Bits: 6}, 0.055, ExtConfig{
+		N: 50_000_000, MemBudget: 1 << 18, Replacement: true, AllowRefineAtMerge: true,
+	})
+	e := plan.External
+	if !e.RefineAtMerge {
+		t.Skipf("refine-at-merge not selected at this point: %+v", e)
+	}
+	if 2*e.Runs <= int64(e.FanIn) {
+		t.Fatalf("test point too small to overflow the fan-in: %+v", e)
+	}
+	if !e.ExtraPass || e.CollapseWrites <= 0 {
+		t.Errorf("fragment collapse not surfaced: ExtraPass=%v CollapseWrites=%g",
+			e.ExtraPass, e.CollapseWrites)
+	}
+}
+
+// TestPlanExternalExtraPassAbsent pins the negative: without
+// refine-at-merge there is no deferred fold, so no extra pass, and the
+// field serializes into plan JSON either way (sortd job payloads carry
+// ExternalPlan verbatim).
+func TestPlanExternalExtraPassAbsent(t *testing.T) {
+	plan := extPlan(t, sorts.MSD{Bits: 6}, 0.055, ExtConfig{
+		N: 10_000_000, MemBudget: 1 << 17, Replacement: true, AllowRefineAtMerge: false,
+	})
+	if plan.External.ExtraPass {
+		t.Errorf("ExtraPass set without refine-at-merge: %+v", plan.External)
+	}
+	raw, err := json.Marshal(plan.External)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"ExtraPass":false`) {
+		t.Errorf("plan JSON does not carry the ExtraPass verdict: %s", raw)
 	}
 }

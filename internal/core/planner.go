@@ -33,9 +33,8 @@ type Planner struct {
 // Plan is the planner's verdict for a concrete input.
 type Plan struct {
 	// Algorithm is the registry name of the algorithm the plan evaluates.
-	// Set only by the auto planners (PlanAuto and friends), which choose
-	// it; single-algorithm plans leave it empty because the caller already
-	// fixed the algorithm.
+	// Set only by PlanAuto, which chooses it; single-algorithm plans leave
+	// it empty because the caller already fixed the algorithm.
 	Algorithm string `json:",omitempty"`
 	// UseHybrid is true when approx-refine is predicted to beat the
 	// precise-only sort.
@@ -61,58 +60,83 @@ type Plan struct {
 // Plan runs the pilot over a strided sample of keys and returns the
 // verdict for sorting all of them.
 func (pl Planner) Plan(keys []uint32) (Plan, error) {
-	n := len(keys)
+	pt, err := pl.pilot(keys)
+	if err != nil {
+		return Plan{}, err
+	}
+	if pt.m < 2 {
+		// Nothing to learn from; the hybrid pipeline is pure overhead
+		// at these sizes anyway.
+		return Plan{UseHybrid: false, PredictedWR: -1, P: 1, PilotSize: pt.m}, nil
+	}
+	return pt.verdict(len(keys)), nil
+}
+
+// pilotRun is one pilot measurement, shared by Plan and PlanExternal:
+// the algorithm's α, the sample size m actually run, and the pilot's
+// measured p(t) and Rem~/m (both 1 when m < 2 and nothing ran).
+type pilotRun struct {
+	alpha    AlphaFunc
+	m        int
+	p, ratio float64
+}
+
+// pilot runs approx-refine over an m-element even-spread sample of keys,
+// m = PilotSize (default 4096) clamped to len(keys), with the Config
+// scrubbed of everything a pilot must not pay for (baseline, sortedness
+// measurement, trace sinks).
+func (pl Planner) pilot(keys []uint32) (pilotRun, error) {
 	cfg := pl.Config
 	cfg.SkipBaseline = true
 	cfg.MeasureSortedness = false
 	cfg.PreciseSink, cfg.ApproxSink = nil, nil
 	if err := cfg.validate(); err != nil {
-		return Plan{}, err
+		return pilotRun{}, err
 	}
 	alpha, err := AlphaFor(cfg.Algorithm)
 	if err != nil {
-		return Plan{}, fmt.Errorf("core: planner needs an analytic α: %w", err)
+		return pilotRun{}, fmt.Errorf("core: planner needs an analytic α: %w", err)
 	}
-
 	m := pl.PilotSize
 	if m <= 0 {
 		m = 4096
 	}
-	if m > n {
-		m = n
+	pt := pilotRun{alpha: alpha, m: min(m, len(keys)), p: 1, ratio: 1}
+	if pt.m < 2 {
+		return pt, nil
 	}
-	if m < 2 {
-		// Nothing to learn from; the hybrid pipeline is pure overhead
-		// at these sizes anyway.
-		return Plan{UseHybrid: false, PredictedWR: -1, P: 1, PilotSize: m}, nil
-	}
-	pilot := pilotSample(keys, m)
-
-	res, err := Run(pilot, cfg)
+	res, err := Run(pilotSample(keys, pt.m), cfg)
 	if err != nil {
-		return Plan{}, err
+		return pilotRun{}, err
 	}
-	r := res.Report
-	p := measuredPilotP(r)
-	pilotRatio := r.RemTildeRatio()
+	pt.p = measuredPilotP(res.Report)
+	pt.ratio = res.Report.RemTildeRatio()
+	return pt, nil
+}
 
-	// Corruption accumulates once per key write, so scale the remainder
-	// ratio by the algorithms' writes-per-element ratio between the two
-	// sizes (1 for radix, log(n)/log(m) for the comparison sorts).
-	scale := 1.0
-	if am := alpha(m); am > 0 {
-		scale = (alpha(n) / float64(n)) / (am / float64(m))
+// remAt extrapolates the pilot's remainder ratio to L records, capped at
+// 1. Corruption accumulates once per key write, so the ratio scales with
+// the algorithm's writes per element between the two sizes, α(L)/L over
+// α(m)/m (1 for radix, log(L)/log(m) for the comparison sorts).
+func (pt pilotRun) remAt(L int) int {
+	ratio := pt.ratio
+	if pt.m >= 2 {
+		if am := pt.alpha(pt.m); am > 0 {
+			ratio *= (pt.alpha(L) / float64(L)) / (am / float64(pt.m))
+		}
 	}
-	predictedRatio := pilotRatio * scale
-	if predictedRatio > 1 {
-		predictedRatio = 1
+	if ratio > 1 {
+		ratio = 1
 	}
-	predictedRem := int(predictedRatio * float64(n))
+	return int(ratio * float64(L))
+}
 
-	model := CostModel{P: p, Alpha: alpha}
-	wr := model.WriteReduction(n, predictedRem)
+// verdict evaluates Equation 4 at L records from the pilot measurement.
+func (pt pilotRun) verdict(L int) Plan {
+	rem := pt.remAt(L)
+	wr := CostModel{P: pt.p, Alpha: pt.alpha}.WriteReduction(L, rem)
 	// Service inputs must always yield a JSON-encodable verdict:
-	// Equation 4 returns −Inf when α(n) is 0 (n < 2 for the comparison
+	// Equation 4 returns −Inf when α(L) is 0 (L < 2 for the comparison
 	// sorts), which still means "don't use hybrid" — clamp it to the same
 	// finite sentinel the tiny-input path uses.
 	if math.IsInf(wr, 0) || math.IsNaN(wr) {
@@ -121,11 +145,11 @@ func (pl Planner) Plan(keys []uint32) (Plan, error) {
 	return Plan{
 		UseHybrid:     wr > 0,
 		PredictedWR:   wr,
-		P:             p,
-		PilotRemRatio: pilotRatio,
-		PredictedRem:  predictedRem,
-		PilotSize:     m,
-	}, nil
+		P:             pt.p,
+		PilotRemRatio: pt.ratio,
+		PredictedRem:  rem,
+		PilotSize:     pt.m,
+	}
 }
 
 // PlanAuto runs the Plan pilot for every candidate algorithm and returns

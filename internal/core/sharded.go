@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"approxsort/internal/sorts"
 )
 
 // This file extends the (M, B, ω) external planner across machines: a
@@ -80,8 +78,8 @@ type ShardedPlan struct {
 }
 
 // PlanSharded plans a multi-node sort of cfg.Ext.N records from a pilot
-// over sample. For each candidate S it re-runs the external planner at
-// the per-shard size ceil(N/S) — smaller shards may flip the run-size or
+// over sample. The pilot runs once; for each candidate S the external
+// planner re-prices the geometry at the per-shard size ceil(N/S) — smaller shards may flip the run-size or
 // refine-at-merge verdicts, not just scale them — prices the cross-shard
 // merge at N writes per cross pass, and keeps the S minimizing the
 // critical path. The returned Plan carries both verdicts: External is
@@ -92,6 +90,16 @@ func (pl Planner) PlanSharded(sample []uint32, cfg ShardConfig) (Plan, error) {
 	}
 	if cfg.Ext.N <= 0 {
 		return Plan{}, errors.New("core: ShardConfig.Ext.N must be positive")
+	}
+	// Every candidate's per-shard ExtConfig differs from cfg.Ext only in
+	// N, which stays positive, so validating cfg.Ext covers them all.
+	cfg.Ext = cfg.Ext.withDefaults()
+	if err := cfg.Ext.validate(); err != nil {
+		return Plan{}, err
+	}
+	pt, err := pl.pilot(sample)
+	if err != nil {
+		return Plan{}, err
 	}
 	overhead := cfg.JobOverhead
 	if overhead <= 0 {
@@ -114,10 +122,7 @@ func (pl Planner) PlanSharded(sample []uint32, cfg ShardConfig) (Plan, error) {
 			// so fan-out candidates stop at out-of-core shard sizes.
 			break
 		}
-		p, err := pl.PlanExternal(sample, ext)
-		if err != nil {
-			return Plan{}, err
-		}
+		p := pt.external(ext)
 		per := p.External
 
 		crossFan := s
@@ -163,30 +168,4 @@ func (pl Planner) PlanSharded(sample []uint32, cfg ShardConfig) (Plan, error) {
 	}
 	bestPlan.Sharded = &best
 	return bestPlan, nil
-}
-
-// PlanShardedAuto runs the multi-node planner for every candidate
-// algorithm and returns the plan with the lowest predicted critical path —
-// each candidate chose its own shard count and per-shard geometry. Ties
-// break to the earlier candidate (sorted-name rosters are deterministic).
-func (pl Planner) PlanShardedAuto(sample []uint32, cfg ShardConfig, candidates []sorts.Candidate) (Plan, error) {
-	if len(candidates) == 0 {
-		return Plan{}, errors.New("core: PlanShardedAuto needs at least one candidate algorithm")
-	}
-	var best Plan
-	bestCost := math.Inf(1)
-	for _, c := range candidates {
-		cpl := pl
-		cpl.Config.Algorithm = c.Alg
-		plan, err := cpl.PlanSharded(sample, cfg)
-		if err != nil {
-			return Plan{}, fmt.Errorf("core: auto candidate %q: %w", c.Name, err)
-		}
-		if plan.Sharded.CriticalPath < bestCost {
-			bestCost = plan.Sharded.CriticalPath
-			plan.Algorithm = c.Name
-			best = plan
-		}
-	}
-	return best, nil
 }

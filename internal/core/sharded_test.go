@@ -45,6 +45,17 @@ func TestPlanShardedFansOutLargeInput(t *testing.T) {
 	if s.PerShard == nil || s.PerShard.N != want {
 		t.Fatalf("PerShard plan not at shard size: %+v", s.PerShard)
 	}
+	// The pilot runs once for all shard counts; the per-shard verdict
+	// must still be exactly the external planner's at the shard size.
+	ext, err := Planner{Config: Config{Algorithm: sorts.MSD{Bits: 6}, T: 0.055, Seed: 99}}.PlanExternal(
+		dataset.Uniform(8192, 13),
+		ExtConfig{N: want, MemBudget: 1 << 17, Replacement: true, AllowRefineAtMerge: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *ext.External != *s.PerShard || ext.P != plan.P || ext.PredictedWR != plan.PredictedWR {
+		t.Fatalf("per-shard plan differs from PlanExternal at %d records:\n%+v\n%+v", want, *ext.External, *s.PerShard)
+	}
 	if s.CriticalPath != s.ShardWrites+s.CrossWrites+s.PartitionWrites {
 		t.Fatalf("CriticalPath %g != Shard %g + Cross %g + Partition %g",
 			s.CriticalPath, s.ShardWrites, s.CrossWrites, s.PartitionWrites)

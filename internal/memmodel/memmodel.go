@@ -187,6 +187,35 @@ func WriteCostRatio(b Backend, pt Point) float64 {
 	return b.ApproxWriteNanos(pt) / mlc.PreciseWriteNanos
 }
 
+// Resolve turns a request's backend name, parameter map and legacy t
+// shorthand into a normalized point. t is the pcm-mlc half-width under its
+// pre-registry name: it merges into params as "t", is rejected for other
+// backends, and may not be given twice. sortd's job classes and the
+// cluster coordinator's pilot resolve their operating points here.
+func Resolve(name string, params map[string]float64, t float64) (Backend, Point, error) {
+	b, err := Get(name)
+	if err != nil {
+		return nil, Point{}, err // *UnknownBackendError
+	}
+	pt := Point{Backend: b.Name(), Params: params}
+	if t != 0 {
+		if b.Name() != PCMMLC {
+			return nil, Point{}, fmt.Errorf("t applies only to the %s backend; parameterize %s via params",
+				PCMMLC, b.Name())
+		}
+		if _, dup := pt.Param("t"); dup {
+			return nil, Point{}, fmt.Errorf("provide the half-width as t or params.t, not both")
+		}
+		pt = pt.clone()
+		pt.Params["t"] = t
+	}
+	pt, err = b.Normalize(pt)
+	if err != nil {
+		return nil, Point{}, err
+	}
+	return b, pt, nil
+}
+
 // DefaultName is the backend assumed when a request names none: the MLC
 // PCM model the paper's main body evaluates.
 const DefaultName = "pcm-mlc"

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -77,11 +78,43 @@ func TestMLCNormalizeDefaultsAndBounds(t *testing.T) {
 		MLC(0),            // T strictly positive (open lower bound)
 		MLC(-0.01),        // negative
 		MLC(mlc.MaxT + 1), // above the model's ceiling
+		MLC(math.NaN()),   // compares false against both bounds
 		{Backend: PCMMLC, Params: map[string]float64{"saving": 0.3}}, // foreign parameter
 		{Backend: SpintronicName},                                    // point names another backend
 	} {
 		if _, err := b.Normalize(bad); err == nil {
 			t.Errorf("Normalize(%v) accepted", bad)
+		}
+	}
+}
+
+func TestResolve(t *testing.T) {
+	params := map[string]float64{}
+	b, pt, err := Resolve("", params, 0.07)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Name() != PCMMLC || pt.Params["t"] != 0.07 {
+		t.Errorf("Resolve(\"\", t=0.07) = %s %v", b.Name(), pt)
+	}
+	if len(params) != 0 {
+		t.Errorf("Resolve merged t into the caller's map: %v", params)
+	}
+	if _, pt, err := Resolve(SpintronicName, map[string]float64{"saving": 0.5}, 0); err != nil || pt.Params["saving"] != 0.5 {
+		t.Errorf("spintronic params: %v, %v", pt, err)
+	}
+	for _, bad := range []struct {
+		name   string
+		params map[string]float64
+		t      float64
+	}{
+		{"no-such-backend", nil, 0},
+		{SpintronicName, nil, 0.07},                   // t is the pcm-mlc shorthand
+		{PCMMLC, map[string]float64{"t": 0.07}, 0.07}, // given twice
+		{PCMMLC, nil, math.NaN()},
+	} {
+		if _, _, err := Resolve(bad.name, bad.params, bad.t); err == nil {
+			t.Errorf("Resolve(%q, %v, %v) accepted", bad.name, bad.params, bad.t)
 		}
 	}
 }

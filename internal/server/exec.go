@@ -13,36 +13,29 @@ import (
 	"approxsort/internal/verify"
 )
 
-// execute runs one normalized request to completion. pilotSize tunes the
-// planner sample (0 = planner default). The request's Seed is split by the
-// job's coordinates — the algorithm name plus the backend point's
-// seed-bearing parameters — never by arrival order, so resubmitting the
-// same request — on any worker, at any concurrency — reproduces the same
-// numbers (the serving-side analogue of the sweep determinism contract).
-func execute(req *SortRequest, pilotSize int) (*JobResult, error) {
-	keys := req.Keys
-	if req.Dataset != nil {
+// executeSort runs one in-memory job to completion. The request's Seed
+// is split by the job's coordinates — the algorithm name plus the backend
+// point's seed-bearing parameters — never by arrival order, so
+// resubmitting the same request — on any worker, at any concurrency —
+// reproduces the same numbers (the serving-side analogue of the sweep
+// determinism contract).
+func (s *Server) executeSort(job *Job) (*JobResult, error) {
+	spec := job.spec
+	keys := spec.Keys
+	if spec.Dataset != nil {
 		var err error
-		keys, err = req.Dataset.materialize()
+		keys, err = spec.Dataset.materialize()
 		if err != nil {
 			return nil, err
 		}
 	}
-	var alg sorts.Algorithm
-	if !req.autoAlgorithm() {
-		var err error
-		alg, err = req.algorithm()
-		if err != nil {
-			return nil, err
-		}
-	}
-	b, pt := req.backend, req.point
+	alg, b, pt := spec.alg, spec.backend, spec.point
 
 	res := &JobResult{
 		Backend: b.Name(),
 		Params:  pt.Params,
 		N:       len(keys),
-		T:       req.T,
+		T:       spec.halfWidth(),
 	}
 
 	// seedParts keys a sub-stream by purpose + job coordinates. For
@@ -58,71 +51,55 @@ func execute(req *SortRequest, pilotSize int) (*JobResult, error) {
 		parts = append(parts, coords...)
 		return append(parts, extra...)
 	}
-	newSpace := func(s uint64) core.Space { return b.NewApprox(pt, s) }
+	newSpace := func(sd uint64) core.Space { return b.NewApprox(pt, sd) }
 
-	mode := req.Mode
-	switch {
-	case req.autoAlgorithm():
-		// Registry-driven selection: one Equation 4 pilot per registered
-		// candidate at its default digit width, cheapest predicted writes
-		// wins. No single algorithm owns the pilot stream, so it is keyed
-		// by the literal roster label instead of an algorithm name.
-		autoParts := append([]any{"sortd", "pilot", "auto"}, coords...)
-		plan, err := core.Planner{
-			Config:    core.Config{NewSpace: newSpace, Seed: rng.Split(req.Seed, autoParts...)},
-			PilotSize: pilotSize,
-		}.PlanAuto(keys, sorts.AutoCandidates())
-		if err != nil {
-			return nil, fmt.Errorf("planner: %w", err)
+	mode := spec.Mode
+	if auto := spec.Algorithm == "auto"; auto || mode == ModeAuto {
+		pl := core.Planner{
+			Config:    core.Config{Algorithm: alg, NewSpace: newSpace},
+			PilotSize: s.cfg.PilotSize,
 		}
-		if err := verify.CheckPlan(len(keys), plan).Err(); err != nil {
-			return nil, fmt.Errorf("planner: %w", err)
+		var plan core.Plan
+		var err error
+		if auto {
+			// Registry-driven selection: one Equation 4 pilot per
+			// registered candidate at its default digit width, cheapest
+			// predicted writes wins. No single algorithm owns the pilot
+			// stream, so it is keyed by the literal roster label instead
+			// of an algorithm name.
+			pl.Config.Seed = rng.Split(spec.Seed, append([]any{"sortd", "pilot", "auto"}, coords...)...)
+			plan, err = pl.PlanAuto(keys, sorts.AutoCandidates())
+		} else {
+			pl.Config.Seed = rng.Split(spec.Seed, seedParts("pilot")...)
+			plan, err = pl.Plan(keys)
 		}
-		alg, err = sorts.New(plan.Algorithm, 0)
+		if err == nil {
+			err = verify.CheckPlan(len(keys), plan).Err()
+		}
+		if err == nil && auto {
+			alg, err = sorts.New(plan.Algorithm, 0)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("planner: %w", err)
 		}
 		res.Plan = planView(plan)
 		res.PredictedWR = plan.PredictedWR
 		if mode == ModeAuto {
+			mode = ModePrecise
 			if plan.UseHybrid {
 				mode = ModeHybrid
-			} else {
-				mode = ModePrecise
 			}
-		}
-	case mode == ModeAuto:
-		plan, err := core.Planner{
-			Config: core.Config{
-				Algorithm: alg,
-				NewSpace:  newSpace,
-				Seed:      rng.Split(req.Seed, seedParts("pilot")...),
-			},
-			PilotSize: pilotSize,
-		}.Plan(keys)
-		if err != nil {
-			return nil, fmt.Errorf("planner: %w", err)
-		}
-		if err := verify.CheckPlan(len(keys), plan).Err(); err != nil {
-			return nil, fmt.Errorf("planner: %w", err)
-		}
-		res.Plan = planView(plan)
-		res.PredictedWR = plan.PredictedWR
-		if plan.UseHybrid {
-			mode = ModeHybrid
-		} else {
-			mode = ModePrecise
 		}
 	}
 	res.Algorithm = alg.Name()
 	res.Mode = mode
 
-	runSeed := rng.Split(req.Seed, seedParts("run", len(keys))...)
+	runSeed := rng.Split(spec.Seed, seedParts("run", len(keys))...)
 	var err error
 	if mode == ModeHybrid {
-		err = executeHybrid(res, keys, alg, req, runSeed)
+		err = executeHybrid(res, keys, alg, spec, runSeed)
 	} else {
-		err = executePrecise(res, keys, alg, req, runSeed)
+		err = executePrecise(res, keys, alg, spec, runSeed)
 	}
 	if err != nil {
 		return nil, err
@@ -151,8 +128,8 @@ func planView(plan core.Plan) *PlanView {
 // write reduction. The approximate region's device clock charges the
 // backend's modelled mean write latency. The run and its verify chain
 // execute inside sys.Run, so the memory-system simulation overlaps both.
-func executeHybrid(res *JobResult, keys []uint32, alg sorts.Algorithm, req *SortRequest, seed uint64) error {
-	b, pt := req.backend, req.point
+func executeHybrid(res *JobResult, keys []uint32, alg sorts.Algorithm, spec *jobSpec, seed uint64) error {
+	b, pt := spec.backend, spec.point
 	sys := hybrid.New()
 	precise := sys.Region("precise", mlc.PreciseWriteNanos)
 	approx := sys.Region("approx", b.ApproxWriteNanos(pt))
@@ -198,7 +175,7 @@ func executeHybrid(res *JobResult, keys []uint32, alg sorts.Algorithm, req *Sort
 	res.PCMNanos = sys.Clock()
 	res.Sorted = r.Sorted
 	res.Verified = true
-	if req.ReturnKeys {
+	if spec.ReturnKeys {
 		res.Keys = out.Keys
 	}
 	return nil
@@ -208,7 +185,7 @@ func executeHybrid(res *JobResult, keys []uint32, alg sorts.Algorithm, req *Sort
 // through its own memory system. It is the baseline, so ActualWR is 0 by
 // construction and Baseline mirrors the run itself. The sort and its
 // output check execute inside sys.Run, like executeHybrid's.
-func executePrecise(res *JobResult, keys []uint32, alg sorts.Algorithm, req *SortRequest, seed uint64) error {
+func executePrecise(res *JobResult, keys []uint32, alg sorts.Algorithm, spec *jobSpec, seed uint64) error {
 	n := len(keys)
 	sys := hybrid.New()
 	region := sys.Region("precise", mlc.PreciseWriteNanos)
@@ -242,7 +219,7 @@ func executePrecise(res *JobResult, keys []uint32, alg sorts.Algorithm, req *Sor
 	res.PCMNanos = sys.Clock()
 	res.Sorted = true
 	res.Verified = true
-	if req.ReturnKeys {
+	if spec.ReturnKeys {
 		res.Keys = sorted
 	}
 	return nil

@@ -3,10 +3,15 @@ package server
 import (
 	"fmt"
 	"math"
+	"net/url"
+	"reflect"
+	"strconv"
+	"strings"
 	"time"
 
 	"approxsort/internal/cluster"
 	"approxsort/internal/dataset"
+	"approxsort/internal/extsort"
 	"approxsort/internal/memmodel"
 	"approxsort/internal/sorts"
 )
@@ -24,10 +29,10 @@ type SortRequest struct {
 	// lists them: quicksort, mergesort, lsd, msd, onesweep-lsd, …).
 	// "auto" (the default) lets the planner pick per backend and input:
 	// in-memory jobs run one Equation 4 pilot per registered candidate and
-	// keep the cheapest; streaming jobs resolve to the paper's default
-	// (6-bit MSD, the Figure 9 winner). Bits sets the radix digit width;
-	// 0 takes the algorithm's registry default (6 for lsd/msd, 8 for
-	// onesweep-lsd).
+	// keep the cheapest; streaming and sharded jobs resolve it to the
+	// paper's default (6-bit MSD, the Figure 9 winner). Bits sets the
+	// radix digit width; 0 takes the algorithm's registry default (6 for
+	// lsd/msd, 8 for onesweep-lsd).
 	Algorithm string `json:"algorithm,omitempty"`
 	Bits      int    `json:"bits,omitempty"`
 
@@ -60,11 +65,6 @@ type SortRequest struct {
 	// ReturnKeys asks for the sorted key array in the response. Refused
 	// above maxReturnKeys to keep job records small.
 	ReturnKeys bool `json:"return_keys,omitempty"`
-
-	// backend and point are the registry resolution of Backend/Params/T,
-	// filled by normalize. Unexported: execution state, not API surface.
-	backend memmodel.Backend
-	point   memmodel.Point
 }
 
 // maxReturnKeys bounds the sorted payload a job is willing to echo back.
@@ -137,111 +137,262 @@ func (d *DatasetSpec) materialize() ([]uint32, error) {
 	}
 }
 
-// normalize validates the request and applies defaults in place. maxN
-// bounds the input size the server will accept.
-func (r *SortRequest) normalize(maxN int) error {
-	if (len(r.Keys) > 0) == (r.Dataset != nil) {
-		return fmt.Errorf("provide exactly one of keys or dataset")
+// jobSpec is the one job description every route's request becomes after
+// decode: the union of the three wire types' fields, the route's class,
+// and — once normalize has run — the resolved algorithm and backend
+// point. Admission and the executors work on nothing else.
+type jobSpec struct {
+	// ShardedRequest carries the shared sort parameters, the streaming
+	// geometry and the sharded placement; Keys and ReturnKeys are
+	// SortRequest's inline input and echo flag.
+	ShardedRequest
+	Keys       []uint32
+	ReturnKeys bool
+
+	class *jobClass
+	// upload marks the octet-stream form: the keys are the request body.
+	upload bool
+
+	alg     sorts.Algorithm // "auto" resolved to the paper's default
+	backend memmodel.Backend
+	point   memmodel.Point
+}
+
+// wireRequest is a route's JSON request type.
+type wireRequest interface{ spec() *jobSpec }
+
+func (r *SortRequest) spec() *jobSpec {
+	return &jobSpec{
+		ShardedRequest: ShardedRequest{StreamRequest: StreamRequest{
+			Dataset: r.Dataset, Algorithm: r.Algorithm, Bits: r.Bits, Mode: r.Mode,
+			Backend: r.Backend, Params: r.Params, T: r.T, Seed: r.Seed,
+		}},
+		Keys:       r.Keys,
+		ReturnKeys: r.ReturnKeys,
 	}
-	n := len(r.Keys)
-	if r.Dataset != nil {
-		if err := r.Dataset.validate(); err != nil {
-			return err
+}
+
+func (r *StreamRequest) spec() *jobSpec {
+	return &jobSpec{ShardedRequest: ShardedRequest{StreamRequest: *r}}
+}
+
+func (r *ShardedRequest) spec() *jobSpec { return &jobSpec{ShardedRequest: *r} }
+
+// jobClass is what admission and execution know about a route.
+type jobClass struct {
+	kind, route string
+	// disk classes keep a job directory (spooled upload, spill,
+	// downloadable output) and accept an octet-stream body.
+	disk bool
+	// tenant classes hold a per-tenant inflight slot while queued or
+	// running.
+	tenant bool
+	wire   func() wireRequest
+	exec   func(*Server, *Job) (*JobResult, error)
+}
+
+var (
+	sortClass = &jobClass{kind: KindSort, route: "/v1/sort",
+		wire: func() wireRequest { return new(SortRequest) }, exec: (*Server).executeSort}
+	streamClass = &jobClass{kind: KindStream, route: "/v1/sort/stream", disk: true,
+		wire: func() wireRequest { return new(StreamRequest) }, exec: (*Server).executeStream}
+	shardedClass = &jobClass{kind: KindSharded, route: "/v1/sort/sharded", disk: true, tenant: true,
+		wire: func() wireRequest { return new(ShardedRequest) }, exec: (*Server).executeSharded}
+)
+
+// parseQuery reads a disk class's octet-stream form: every JSON field of
+// the class's wire type under its JSON name, parsed by its Go type, and
+// the backend parameters as params.<name> (the form cluster.JobParams
+// submits shard jobs in). Empty values and parameters naming no field
+// (wait, for one) are ignored; the dataset spec has no query form.
+func parseQuery(c *jobClass, q url.Values) (*jobSpec, error) {
+	w := c.wire()
+	if err := setQueryFields(reflect.ValueOf(w).Elem(), q); err != nil {
+		return nil, err
+	}
+	spec := w.spec()
+	spec.class, spec.upload = c, true
+	return spec, nil
+}
+
+func setQueryFields(v reflect.Value, q url.Values) error {
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		if f.Anonymous {
+			if err := setQueryFields(fv, q); err != nil {
+				return err
+			}
+			continue
 		}
-		n = r.Dataset.N
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if fv.Kind() == reflect.Map {
+			for key := range q {
+				param, ok := strings.CutPrefix(key, name+".")
+				if !ok {
+					continue
+				}
+				x, err := strconv.ParseFloat(q.Get(key), 64)
+				if err != nil {
+					return fmt.Errorf("bad %s: %v", key, err)
+				}
+				if fv.IsNil() {
+					fv.Set(reflect.MakeMap(fv.Type()))
+				}
+				fv.SetMapIndex(reflect.ValueOf(param), reflect.ValueOf(x))
+			}
+			continue
+		}
+		str := q.Get(name)
+		if str == "" {
+			continue
+		}
+		var err error
+		switch fv.Kind() {
+		case reflect.String:
+			fv.SetString(str)
+		case reflect.Int, reflect.Int64:
+			var x int64
+			x, err = strconv.ParseInt(str, 10, fv.Type().Bits())
+			fv.SetInt(x)
+		case reflect.Uint64:
+			var x uint64
+			x, err = strconv.ParseUint(str, 10, 64)
+			fv.SetUint(x)
+		case reflect.Float64:
+			var x float64
+			x, err = strconv.ParseFloat(str, 64)
+			fv.SetFloat(x)
+		case reflect.Bool:
+			var x bool
+			x, err = strconv.ParseBool(str)
+			fv.SetBool(x)
+		}
+		if err != nil {
+			return fmt.Errorf("bad %s: %v", name, err)
+		}
 	}
-	if n <= 0 {
-		return fmt.Errorf("input must have at least one key")
-	}
-	if n > maxN {
-		return fmt.Errorf("input size %d exceeds the server limit %d", n, maxN)
-	}
-	if r.ReturnKeys && n > maxReturnKeys {
-		return fmt.Errorf("return_keys allowed only up to %d keys, got %d", maxReturnKeys, n)
-	}
-	switch r.Mode {
-	case "":
-		r.Mode = ModeAuto
-	case ModeAuto, ModeHybrid, ModePrecise:
-	default:
-		return fmt.Errorf("unknown mode %q (want auto, hybrid or precise)", r.Mode)
-	}
-	if r.Algorithm == "" {
-		r.Algorithm = "auto"
-	}
-	if r.Bits != 0 && (r.Bits < 1 || r.Bits > 16) {
-		return fmt.Errorf("bits = %d out of range [1, 16]", r.Bits)
-	}
-	if _, err := r.algorithm(); err != nil {
-		return err // *sorts.UnknownAlgorithmError → 400 with the roster
-	}
-	b, pt, t, err := resolveBackendPoint(r.Backend, r.Params, r.T)
-	if err != nil {
-		return err // *memmodel.UnknownBackendError → 400
-	}
-	r.Backend, r.backend, r.point, r.T = b.Name(), b, pt, t
 	return nil
 }
 
-// resolveBackendPoint resolves a request's backend name, parameter map
-// and legacy T shorthand against the memmodel registry, returning the
-// normalized operating point and the resolved half-width to echo (0 for
-// non-pcm-mlc backends). Shared by the in-memory and streaming request
-// paths.
-func resolveBackendPoint(name string, params map[string]float64, t float64) (memmodel.Backend, memmodel.Point, float64, error) {
-	b, err := memmodel.Get(name)
+// normalize validates the description and applies defaults in place;
+// every error is a 400. The input rules are the class's own; mode,
+// algorithm, bits and the backend point are shared. A normalized spec
+// normalizes to itself.
+func (s *jobSpec) normalize(cfg Config) error {
+	if err := s.normalizeInput(cfg); err != nil {
+		return err
+	}
+	switch s.Mode {
+	case "":
+		s.Mode = ModeAuto
+	case ModeAuto, ModeHybrid, ModePrecise:
+	default:
+		return fmt.Errorf("unknown mode %q (want auto, hybrid or precise)", s.Mode)
+	}
+	if s.Algorithm == "" {
+		s.Algorithm = "auto"
+	}
+	if s.Bits != 0 && (s.Bits < 1 || s.Bits > 16) {
+		return fmt.Errorf("bits = %d out of range [1, 16]", s.Bits)
+	}
+	alg, err := sorts.Resolve(s.Algorithm, s.Bits)
 	if err != nil {
-		return nil, memmodel.Point{}, 0, err // *memmodel.UnknownBackendError → 400
+		return err // *sorts.UnknownAlgorithmError → 400 with the roster
 	}
-	pt := memmodel.Point{Backend: b.Name(), Params: params}
-	if t != 0 {
-		if b.Name() != memmodel.PCMMLC {
-			return nil, memmodel.Point{}, 0, fmt.Errorf("t applies only to the %s backend; parameterize %s via params",
-				memmodel.PCMMLC, b.Name())
-		}
-		if _, dup := pt.Param("t"); dup {
-			return nil, memmodel.Point{}, 0, fmt.Errorf("provide the half-width as t or params.t, not both")
-		}
-		merged := map[string]float64{"t": t}
-		for k, v := range pt.Params {
-			merged[k] = v
-		}
-		pt.Params = merged
-	}
-	pt, err = b.Normalize(pt)
+	b, pt, err := memmodel.Resolve(s.Backend, s.Params, s.T)
 	if err != nil {
-		return nil, memmodel.Point{}, 0, err
+		return err // *memmodel.UnknownBackendError → 400
 	}
-	if b.Name() == memmodel.PCMMLC {
-		t, _ = pt.Param("t") // echo the resolved half-width in the legacy column
-	}
-	return b, pt, t, nil
+	// The resolved point's parameters replace the t shorthand, so a
+	// second normalize resolves the same point.
+	s.alg, s.backend, s.point = alg, b, pt
+	s.Backend, s.Params, s.T = b.Name(), pt.Params, 0
+	return nil
 }
 
-// autoAlgorithm reports whether the request delegates the algorithm
-// choice to the auto planner.
-func (r *SortRequest) autoAlgorithm() bool { return r.Algorithm == "auto" || r.Algorithm == "" }
-
-// algorithm resolves the request's algorithm through the sorts registry.
-// "auto" resolves to the paper's default (6-bit MSD, the Figure 9
-// winner) — the fallback every pre-registry job ran; the in-memory
-// executor overrides it with the auto planner's registry-driven choice.
-// Unknown names return *sorts.UnknownAlgorithmError, whose message
-// carries the registered roster.
-func (r *SortRequest) algorithm() (sorts.Algorithm, error) {
-	name := r.Algorithm
-	if r.autoAlgorithm() {
-		name = "msd"
+// normalizeInput applies the class's input rules.
+func (s *jobSpec) normalizeInput(cfg Config) error {
+	if !s.class.disk {
+		if (len(s.Keys) > 0) == (s.Dataset != nil) {
+			return fmt.Errorf("provide exactly one of keys or dataset")
+		}
+		if s.Dataset != nil {
+			if err := s.Dataset.validate(); err != nil {
+				return err
+			}
+		}
+		n := s.inlineSize()
+		if n <= 0 {
+			return fmt.Errorf("input must have at least one key")
+		}
+		if n > cfg.MaxN {
+			return fmt.Errorf("input size %d exceeds the server limit %d", n, cfg.MaxN)
+		}
+		if s.ReturnKeys && n > maxReturnKeys {
+			return fmt.Errorf("return_keys allowed only up to %d keys, got %d", maxReturnKeys, n)
+		}
+		return nil
 	}
-	return sorts.New(name, r.Bits)
+	if s.upload == (s.Dataset != nil) {
+		return fmt.Errorf("provide the key stream as the request body or a dataset spec, not both")
+	}
+	if d := s.Dataset; d != nil {
+		if err := d.validate(); err != nil {
+			return err
+		}
+		if d.Kind == "nearlysorted" {
+			return fmt.Errorf("dataset kind nearlysorted is not streamable")
+		}
+		if d.N <= 0 {
+			return fmt.Errorf("dataset must have at least one key")
+		}
+		if b := 4 * int64(d.N); b > cfg.MaxStreamBytes {
+			return fmt.Errorf("dataset stream of %d bytes exceeds the server quota %d", b, cfg.MaxStreamBytes)
+		}
+	}
+	switch s.Formation {
+	case "":
+		s.Formation = extsort.FormationReplacement
+	case extsort.FormationReplacement, extsort.FormationChunk:
+	default:
+		return fmt.Errorf("unknown formation %q (want replacement or chunk)", s.Formation)
+	}
+	if s.RunSize < 0 || s.FanIn < 0 || s.MaxDiskBytes < 0 {
+		return fmt.Errorf("run_size, fan_in and max_disk_bytes must be non-negative")
+	}
+	if s.FanIn == 1 {
+		return fmt.Errorf("fan_in = 1 cannot merge")
+	}
+	if s.MaxDiskBytes == 0 || s.MaxDiskBytes > cfg.MaxStreamBytes {
+		s.MaxDiskBytes = cfg.MaxStreamBytes
+	}
+	if s.class.tenant {
+		if s.MaxShards < 0 {
+			return fmt.Errorf("max_shards must be non-negative")
+		}
+		if s.Tenant == "" {
+			s.Tenant = "default"
+		}
+	}
+	return nil
 }
 
-// inputSize returns the job's n.
-func (r *SortRequest) inputSize() int {
-	if r.Dataset != nil {
-		return r.Dataset.N
+// inlineSize returns an in-memory job's n.
+func (s *jobSpec) inlineSize() int {
+	if s.Dataset != nil {
+		return s.Dataset.N
 	}
-	return len(r.Keys)
+	return len(s.Keys)
+}
+
+// halfWidth is the legacy t column of job records: the resolved pcm-mlc
+// half-width, 0 for other backends.
+func (s *jobSpec) halfWidth() float64 {
+	if s.backend.Name() != memmodel.PCMMLC {
+		return 0
+	}
+	t, _ := s.point.Param("t")
+	return t
 }
 
 // Job states.
@@ -346,24 +497,17 @@ type JobResult struct {
 // sanitize clamps non-finite floats so the result is always JSON-encodable
 // (encoding/json rejects NaN and ±Inf).
 func (r *JobResult) sanitize() {
-	for _, f := range []*float64{&r.PredictedWR, &r.ActualWR, &r.WriteNanos, &r.PCMNanos} {
+	fs := []*float64{&r.PredictedWR, &r.ActualWR, &r.WriteNanos, &r.PCMNanos}
+	if r.Plan != nil {
+		fs = append(fs, &r.Plan.PredictedWR, &r.Plan.P, &r.Plan.PilotRemRatio)
+	}
+	for _, f := range fs {
 		if math.IsNaN(*f) {
 			*f = 0
 		} else if math.IsInf(*f, 1) {
 			*f = math.MaxFloat64
 		} else if math.IsInf(*f, -1) {
 			*f = -math.MaxFloat64
-		}
-	}
-	if r.Plan != nil {
-		for _, f := range []*float64{&r.Plan.PredictedWR, &r.Plan.P, &r.Plan.PilotRemRatio} {
-			if math.IsNaN(*f) {
-				*f = 0
-			} else if math.IsInf(*f, 1) {
-				*f = math.MaxFloat64
-			} else if math.IsInf(*f, -1) {
-				*f = -math.MaxFloat64
-			}
 		}
 	}
 }
@@ -395,14 +539,11 @@ type Job struct {
 	StartedAt  time.Time `json:"started_at,omitempty"`
 	FinishedAt time.Time `json:"finished_at,omitempty"`
 
-	// done closes when the job reaches a terminal state; req (in-memory),
-	// stream (streaming) or sharded (multi-node) carries the work; dir is
-	// the job's on-disk state, records its input count, tenant its
-	// sharded-quota identity. Unexported: none serialize.
+	// done closes when the job reaches a terminal state; spec carries the
+	// work; dir is a disk class's on-disk state, records its input count,
+	// tenant the held inflight slot. Unexported: none serialize.
 	done    chan struct{}
-	req     *SortRequest
-	stream  *StreamRequest
-	sharded *ShardedRequest
+	spec    *jobSpec
 	tenant  string
 	dir     string
 	records int64

@@ -27,10 +27,13 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"approxsort/internal/extsort"
 	"approxsort/internal/mlc"
 	"approxsort/internal/parallel"
 )
@@ -205,9 +208,9 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sort", s.handleSort)
-	mux.HandleFunc("POST /v1/sort/stream", s.handleSortStream)
-	mux.HandleFunc("POST /v1/sort/sharded", s.handleSortSharded)
+	for _, c := range []*jobClass{sortClass, streamClass, shardedClass} {
+		mux.HandleFunc("POST "+c.route, s.admit(c))
+	}
 	mux.HandleFunc("GET /v1/tables", s.handleTablesGet)
 	mux.HandleFunc("POST /v1/tables", s.handleTablesPost)
 	mux.HandleFunc("GET /v1/backends", s.handleBackends)
@@ -255,69 +258,160 @@ func (s *Server) writeJSON(w http.ResponseWriter, route string, code int, v any)
 	_ = enc.Encode(v)
 }
 
-func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/sort"
-	if s.draining.Load() {
-		s.writeJSON(w, route, http.StatusServiceUnavailable, apiError{Error: "draining"})
-		return
+// admit is the one admission path of POST /v1/sort, /v1/sort/stream and
+// /v1/sort/sharded. In order: the draining check, decode, normalize, the
+// tenant slot, the job directory and spooled upload, then register and
+// enqueue — with one rollback when any step after the tenant slot fails —
+// and finally wait for the job or answer 202.
+func (s *Server) admit(c *jobClass) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		reject := func(code int, msg string) {
+			if code == http.StatusTooManyRequests {
+				w.Header().Set("Retry-After", "1")
+			}
+			s.writeJSON(w, c.route, code, apiError{Error: msg})
+		}
+		if c == shardedClass && len(s.cfg.ShardNodes) == 0 {
+			reject(http.StatusNotImplemented, "no shard fleet configured (start sortd with -shards)")
+			return
+		}
+		if s.draining.Load() {
+			reject(http.StatusServiceUnavailable, "draining")
+			return
+		}
+		spec, code, err := s.decode(c, w, r)
+		if err == nil {
+			code, err = http.StatusBadRequest, spec.normalize(s.cfg)
+		}
+		if err != nil {
+			reject(code, err.Error())
+			return
+		}
+
+		job := &Job{
+			Status:    StatusQueued,
+			Kind:      c.kind,
+			Algorithm: spec.Algorithm,
+			Mode:      spec.Mode,
+			Backend:   spec.Backend,
+			N:         spec.inlineSize(),
+			T:         spec.halfWidth(),
+			done:      make(chan struct{}),
+			spec:      spec,
+		}
+		if c.tenant {
+			// Per-tenant backpressure: the coordinator fans one job across
+			// the whole fleet, so a tenant's concurrent sharded jobs are
+			// capped before the queue, and the shards' own 429s propagate
+			// back through the coordinator's submit retries.
+			if !s.acquireTenant(spec.Tenant) {
+				s.tenantRejects.Inc()
+				reject(http.StatusTooManyRequests, fmt.Sprintf("tenant %s has %d sharded sorts inflight, retry later",
+					spec.Tenant, s.cfg.TenantMaxInflight))
+				return
+			}
+			job.tenant = spec.Tenant
+		}
+		if c.disk {
+			code, err = s.spool(job, w, r)
+		}
+		if err == nil {
+			job.EnqueuedAt = time.Now().UTC() //nolint:detrand // wall-clock by design: job timestamps are service metadata, not simulated results
+			s.mu.Lock()
+			s.seq++
+			job.ID = fmt.Sprintf("job-%08d", s.seq)
+			s.jobs[job.ID] = job
+			s.mu.Unlock()
+			if !s.pool.TrySubmit(func() { s.runJob(job) }) {
+				s.mu.Lock()
+				delete(s.jobs, job.ID)
+				s.mu.Unlock()
+				s.queueRejects.Inc()
+				code, err = http.StatusTooManyRequests, errors.New("queue full, retry later")
+			}
+		}
+		if err != nil {
+			if job.dir != "" {
+				os.RemoveAll(job.dir)
+			}
+			if job.tenant != "" {
+				s.releaseTenant(job.tenant)
+			}
+			reject(code, err.Error())
+			return
+		}
+
+		if r.URL.Query().Get("wait") != "" {
+			select {
+			case <-job.done:
+				s.writeJSON(w, c.route, http.StatusOK, s.snapshot(job))
+			case <-r.Context().Done():
+				// Client gave up; the job keeps running and remains pollable.
+				s.requests.With(c.route, "499").Inc()
+			}
+			return
+		}
+		w.Header().Set("Location", "/v1/jobs/"+job.ID)
+		s.writeJSON(w, c.route, http.StatusAccepted, s.snapshot(job))
 	}
-	var req SortRequest
+}
+
+// decode reads a request into its class's wire type: the octet-stream
+// form's query for a disk class sent with that Content-Type, JSON with
+// unknown fields rejected otherwise. Defaulting to JSON means a curl -d
+// without an explicit Content-Type fails loudly on decode instead of
+// silently sorting the JSON text as key bytes. The int is the status a
+// failure answers with.
+func (s *Server) decode(c *jobClass, w http.ResponseWriter, r *http.Request) (*jobSpec, int, error) {
+	if c.disk && strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
+		spec, err := parseQuery(c, r.URL.Query())
+		return spec, http.StatusBadRequest, err
+	}
+	wire := c.wire()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(wire); err != nil {
 		var tooLarge *http.MaxBytesError
-		code := http.StatusBadRequest
 		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("bad request: %w", err)
 		}
-		s.writeJSON(w, route, code, apiError{Error: "bad request: " + err.Error()})
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("bad request: %w", err)
 	}
-	if err := req.normalize(s.cfg.MaxN); err != nil {
-		s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
+	spec := wire.spec()
+	spec.class = c
+	return spec, 0, nil
+}
 
-	job := &Job{
-		Status:     StatusQueued,
-		Algorithm:  req.Algorithm,
-		Mode:       req.Mode,
-		Backend:    req.Backend,
-		N:          req.inputSize(),
-		T:          req.T,
-		EnqueuedAt: time.Now().UTC(), //nolint:detrand // wall-clock by design: job timestamps are service metadata, not simulated results
-		done:       make(chan struct{}),
-		req:        &req,
+// spool gives a disk-class job its directory and input count: the upload
+// copied into input.raw against the job's disk quota — the body dies with
+// the handler, the job may run much later — or the dataset spec's size.
+func (s *Server) spool(job *Job, w http.ResponseWriter, r *http.Request) (int, error) {
+	dir, err := os.MkdirTemp(s.cfg.StreamDir, "sortd-"+job.Kind+"-")
+	if err != nil {
+		return http.StatusInternalServerError, fmt.Errorf("job dir: %w", err)
 	}
-	s.mu.Lock()
-	s.seq++
-	job.ID = fmt.Sprintf("job-%08d", s.seq)
-	s.jobs[job.ID] = job
-	s.mu.Unlock()
-
-	if !s.pool.TrySubmit(func() { s.runJob(job) }) {
-		s.mu.Lock()
-		delete(s.jobs, job.ID)
-		s.mu.Unlock()
-		s.queueRejects.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, route, http.StatusTooManyRequests,
-			apiError{Error: "queue full, retry later"})
-		return
-	}
-
-	if r.URL.Query().Get("wait") != "" {
-		select {
-		case <-job.done:
-			s.writeJSON(w, route, http.StatusOK, s.snapshot(job))
-		case <-r.Context().Done():
-			// Client gave up; the job keeps running and remains pollable.
-			s.requests.With(route, "499").Inc()
+	job.dir = dir
+	spec := job.spec
+	if spec.upload {
+		quota := spec.MaxDiskBytes
+		n, err := spoolInput(filepath.Join(dir, "input.raw"), http.MaxBytesReader(w, r.Body, quota+1), quota)
+		if errors.Is(err, extsort.ErrDiskQuota) {
+			return http.StatusRequestEntityTooLarge, err
 		}
-		return
+		if err != nil {
+			return http.StatusBadRequest, err
+		}
+		if n == 0 {
+			return http.StatusBadRequest, errors.New("input must have at least one key")
+		}
+		job.records = n / 4
+	} else {
+		job.records = int64(spec.Dataset.N)
 	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	s.writeJSON(w, route, http.StatusAccepted, s.snapshot(job))
+	if job.records <= int64(^uint(0)>>1) {
+		job.N = int(job.records)
+	}
+	return 0, nil
 }
 
 // runJob executes one job on a pool worker.
@@ -332,16 +426,7 @@ func (s *Server) runJob(job *Job) {
 	job.StartedAt = start.UTC()
 	s.mu.Unlock()
 
-	var res *JobResult
-	var err error
-	switch job.Kind {
-	case KindStream:
-		res, err = s.executeStream(job)
-	case KindSharded:
-		res, err = s.executeSharded(job)
-	default:
-		res, err = execute(job.req, s.cfg.PilotSize)
-	}
+	res, err := job.spec.class.exec(s, job)
 
 	elapsed := time.Since(start) //nolint:detrand // wall-clock by design: feeds the latency histogram only
 	s.mu.Lock()

@@ -388,39 +388,34 @@ func TestConcurrentSorts(t *testing.T) {
 // different worker counts produces bit-identical accounting, because every
 // stream is derived from the request's coordinates.
 func TestDeterministicAcrossConcurrency(t *testing.T) {
-	req := func() *SortRequest {
-		r := &SortRequest{
+	s := &Server{}
+	req := func() *Job {
+		return &Job{spec: normalizedSpec(t, sortClass, &SortRequest{
 			Dataset:   &DatasetSpec{Kind: "uniform", N: 50000, Seed: 11},
 			Algorithm: "msd",
 			T:         0.08,
 			Mode:      ModeHybrid,
 			Seed:      99,
-		}
-		if err := r.normalize(1 << 20); err != nil {
-			t.Fatal(err)
-		}
-		return r
+		})}
 	}
-	a, err := execute(req(), 0)
+	a, err := s.executeSort(req())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-run amid unrelated concurrent jobs.
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
+		other := &Job{spec: normalizedSpec(t, sortClass, &SortRequest{
+			Dataset: &DatasetSpec{Kind: "uniform", N: 10000, Seed: uint64(i)},
+			Mode:    ModePrecise, Algorithm: "quicksort", Seed: uint64(i),
+		})}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			other := &SortRequest{
-				Dataset: &DatasetSpec{Kind: "uniform", N: 10000, Seed: uint64(i)},
-				Mode:    ModePrecise, Algorithm: "quicksort", Seed: uint64(i),
-			}
-			if err := other.normalize(1 << 20); err == nil {
-				execute(other, 0) //nolint:errcheck // background noise only
-			}
-		}(i)
+			s.executeSort(other) //nolint:errcheck // background noise only
+		}()
 	}
-	b, err := execute(req(), 0)
+	b, err := s.executeSort(req())
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -428,6 +423,18 @@ func TestDeterministicAcrossConcurrency(t *testing.T) {
 	if a.Rem != b.Rem || a.Writes != b.Writes || a.ActualWR != b.ActualWR || a.PCMNanos != b.PCMNanos {
 		t.Errorf("same request diverged:\n%+v\n%+v", a, b)
 	}
+}
+
+// normalizedSpec lifts a wire request into class c's normalized job
+// description under the default server config.
+func normalizedSpec(t *testing.T, c *jobClass, w wireRequest) *jobSpec {
+	t.Helper()
+	spec := w.spec()
+	spec.class = c
+	if err := spec.normalize(Config{}.withDefaults()); err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }
 
 func fetchMetrics(t *testing.T, baseURL string) string {

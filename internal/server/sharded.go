@@ -3,19 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
-	"time"
 
 	"approxsort/internal/cluster"
-	"approxsort/internal/dataset"
-	"approxsort/internal/extsort"
 	"approxsort/internal/mlc"
 	"approxsort/internal/verify"
 )
@@ -38,180 +30,6 @@ type ShardedRequest struct {
 	// WarmTables relays shard 0's calibrated MLC table to the rest of
 	// the fleet before submitting (pcm-mlc only, best-effort).
 	WarmTables bool `json:"warm_tables,omitempty"`
-}
-
-// normalizeSharded validates the sharded extras on top of the stream
-// normalization.
-func (r *ShardedRequest) normalizeSharded(cfg Config, hasBody bool) error {
-	if err := r.normalize(cfg, hasBody); err != nil {
-		return err
-	}
-	if r.MaxShards < 0 {
-		return fmt.Errorf("max_shards must be non-negative")
-	}
-	if r.Tenant == "" {
-		r.Tenant = "default"
-	}
-	return nil
-}
-
-// shardedQuery parses the octet-stream form's query parameters.
-func shardedQuery(q map[string][]string) (*ShardedRequest, error) {
-	sr, err := streamQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	req := &ShardedRequest{StreamRequest: *sr}
-	if v := q["tenant"]; len(v) > 0 {
-		req.Tenant = v[0]
-	}
-	if v := q["max_shards"]; len(v) > 0 {
-		n, err := strconv.Atoi(v[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad max_shards: %v", err)
-		}
-		req.MaxShards = n
-	}
-	if v := q["warm_tables"]; len(v) > 0 {
-		b, err := strconv.ParseBool(v[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad warm_tables: %v", err)
-		}
-		req.WarmTables = b
-	}
-	return req, nil
-}
-
-func (s *Server) handleSortSharded(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/sort/sharded"
-	if len(s.cfg.ShardNodes) == 0 {
-		s.writeJSON(w, route, http.StatusNotImplemented,
-			apiError{Error: "no shard fleet configured (start sortd with -shards)"})
-		return
-	}
-	if s.draining.Load() {
-		s.writeJSON(w, route, http.StatusServiceUnavailable, apiError{Error: "draining"})
-		return
-	}
-
-	ct := r.Header.Get("Content-Type")
-	var req *ShardedRequest
-	hasBody := false
-	if strings.HasPrefix(ct, "application/octet-stream") {
-		var err error
-		req, err = shardedQuery(r.URL.Query())
-		if err != nil {
-			s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: err.Error()})
-			return
-		}
-		hasBody = true
-	} else {
-		req = &ShardedRequest{}
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(req); err != nil {
-			s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: "bad request: " + err.Error()})
-			return
-		}
-	}
-	if err := req.normalizeSharded(s.cfg, hasBody); err != nil {
-		s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-
-	// Per-tenant backpressure: the coordinator fans one job across the
-	// whole fleet, so a tenant's concurrent sharded jobs are capped
-	// before the queue, and the shards' own 429s propagate back through
-	// the coordinator's submit retries.
-	if !s.acquireTenant(req.Tenant) {
-		s.tenantRejects.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, route, http.StatusTooManyRequests,
-			apiError{Error: fmt.Sprintf("tenant %s has %d sharded sorts inflight, retry later",
-				req.Tenant, s.cfg.TenantMaxInflight)})
-		return
-	}
-
-	dir, err := os.MkdirTemp(s.cfg.StreamDir, "sortd-sharded-")
-	if err != nil {
-		s.releaseTenant(req.Tenant)
-		s.writeJSON(w, route, http.StatusInternalServerError, apiError{Error: "job dir: " + err.Error()})
-		return
-	}
-
-	var inputRecords int64
-	if hasBody {
-		bytes, err := spoolInput(filepath.Join(dir, "input.raw"),
-			http.MaxBytesReader(w, r.Body, req.MaxDiskBytes+1), req.MaxDiskBytes)
-		if err != nil {
-			os.RemoveAll(dir)
-			s.releaseTenant(req.Tenant)
-			code := http.StatusBadRequest
-			if errors.Is(err, extsort.ErrDiskQuota) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			s.writeJSON(w, route, code, apiError{Error: err.Error()})
-			return
-		}
-		if bytes == 0 {
-			os.RemoveAll(dir)
-			s.releaseTenant(req.Tenant)
-			s.writeJSON(w, route, http.StatusBadRequest, apiError{Error: "input must have at least one key"})
-			return
-		}
-		inputRecords = bytes / 4
-	} else {
-		inputRecords = int64(req.Dataset.N)
-	}
-	n := 0
-	if inputRecords <= int64(^uint(0)>>1) {
-		n = int(inputRecords)
-	}
-
-	job := &Job{
-		Status:     StatusQueued,
-		Kind:       KindSharded,
-		Algorithm:  req.Algorithm,
-		Mode:       req.Mode,
-		Backend:    req.Backend,
-		N:          n,
-		T:          req.T,
-		EnqueuedAt: time.Now().UTC(), //nolint:detrand // wall-clock by design: job timestamps are service metadata
-		done:       make(chan struct{}),
-		sharded:    req,
-		tenant:     req.Tenant,
-		dir:        dir,
-		records:    inputRecords,
-	}
-	s.mu.Lock()
-	s.seq++
-	job.ID = fmt.Sprintf("job-%08d", s.seq)
-	s.jobs[job.ID] = job
-	s.mu.Unlock()
-
-	if !s.pool.TrySubmit(func() { s.runJob(job) }) {
-		s.mu.Lock()
-		delete(s.jobs, job.ID)
-		s.mu.Unlock()
-		os.RemoveAll(dir)
-		s.releaseTenant(req.Tenant)
-		s.queueRejects.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, route, http.StatusTooManyRequests, apiError{Error: "queue full, retry later"})
-		return
-	}
-
-	if r.URL.Query().Get("wait") != "" {
-		select {
-		case <-job.done:
-			s.writeJSON(w, route, http.StatusOK, s.snapshot(job))
-		case <-r.Context().Done():
-			s.requests.With(route, "499").Inc()
-		}
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	s.writeJSON(w, route, http.StatusAccepted, s.snapshot(job))
 }
 
 // acquireTenant claims one sharded-job slot for the tenant, failing when
@@ -245,86 +63,55 @@ func (s *Server) releaseTenant(tenant string) {
 // full audit chain (range-pinned shard streams, merged-stream checker,
 // cluster ledger reconciliation).
 func (s *Server) executeSharded(job *Job) (*JobResult, error) {
-	req := job.sharded
-
+	spec := job.spec
 	co, err := cluster.New(cluster.Config{
 		Nodes:        s.cfg.ShardNodes,
-		PlacementKey: req.Tenant,
+		PlacementKey: spec.Tenant,
 		Job: cluster.JobParams{
-			Algorithm:     req.Algorithm,
-			Bits:          req.Bits,
-			Mode:          req.Mode,
-			Backend:       req.Backend,
-			T:             req.T,
-			Seed:          req.Seed,
-			RunSize:       req.RunSize,
-			FanIn:         req.FanIn,
-			Formation:     req.Formation,
-			RefineAtMerge: req.RefineAtMerge,
+			Algorithm:     spec.Algorithm,
+			Bits:          spec.Bits,
+			Mode:          spec.Mode,
+			Backend:       spec.Backend,
+			Params:        spec.Params,
+			Seed:          spec.Seed,
+			RunSize:       spec.RunSize,
+			FanIn:         spec.FanIn,
+			Formation:     spec.Formation,
+			RefineAtMerge: spec.RefineAtMerge,
 		},
-		MaxShards:  req.MaxShards,
+		MaxShards:  spec.MaxShards,
 		TempDir:    job.dir,
-		WarmTables: req.WarmTables,
+		WarmTables: spec.WarmTables,
 		NewAuditor: func(w io.Writer) cluster.StreamAuditor { return verify.NewStreamChecker(w) },
 		WrapShard:  verify.WrapShards(),
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	var src io.Reader
-	if req.Dataset != nil {
-		src, err = dataset.StreamSpec{
-			Kind: req.Dataset.Kind, N: req.Dataset.N, Seed: req.Dataset.Seed,
-			K: req.Dataset.K, S: req.Dataset.S,
-		}.Stream()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		f, err := os.Open(filepath.Join(job.dir, "input.raw"))
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		src = f
-	}
-
-	out, err := os.Create(filepath.Join(job.dir, "output.raw"))
-	if err != nil {
-		return nil, err
-	}
-	qw := &quotaWriter{w: out, max: req.MaxDiskBytes}
 	// The fan-out runs under a deadline, not under the request context:
 	// graceful drain promises accepted jobs completion, but a hung shard
 	// node must not pin the job, its tenant slot and a worker forever.
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShardSortTimeout)
 	defer cancel()
-	stats, err := co.Sort(ctx, src, qw)
+	var stats cluster.Stats
+	err = s.sortFile(job, func(in io.Reader, out io.Writer) (err error) {
+		if stats, err = co.Sort(ctx, in, out); err != nil {
+			return err
+		}
+		// The coordinator already held the merged stream to the
+		// StreamChecker and every shard range to its RangeReader; the
+		// ledger reconciliation is the last gate before done.
+		return verify.CheckClusterStats(stats).Err()
+	})
 	if err != nil {
-		out.Close()
 		return nil, err
 	}
-	if err := out.Close(); err != nil {
-		return nil, err
-	}
-	// The coordinator already held the merged stream to the
-	// StreamChecker and every shard range to its RangeReader; the ledger
-	// reconciliation is the last gate before done.
-	if err := verify.CheckClusterStats(stats).Err(); err != nil {
-		return nil, err
-	}
-	os.Remove(filepath.Join(job.dir, "input.raw"))
-
-	s.mu.Lock()
-	job.OutputBytes = qw.n
-	s.mu.Unlock()
 
 	s.clusterShards.Add(uint64(len(stats.Shards)))
 	s.clusterRecords.Add(uint64(stats.Records))
 
-	mode := req.Mode
-	if mode == "" || mode == ModeAuto {
+	mode := spec.Mode
+	if mode == ModeAuto {
 		mode = ModePrecise
 		if stats.Plan != nil && stats.Plan.Sharded != nil &&
 			stats.Plan.Sharded.PerShard != nil && stats.Plan.Sharded.PerShard.UseHybrid {
@@ -338,12 +125,12 @@ func (s *Server) executeSharded(job *Job) (*JobResult, error) {
 	writeNanos += stats.MergeWriteNanos
 
 	res := &JobResult{
-		Algorithm:  req.Algorithm,
+		Algorithm:  spec.Algorithm,
 		Mode:       mode,
 		N:          job.N,
-		Backend:    req.Backend,
-		Params:     req.point.Params,
-		T:          req.T,
+		Backend:    spec.Backend,
+		Params:     spec.point.Params,
+		T:          spec.halfWidth(),
 		Writes:     WriteCounts{Precise: int(stats.MergeWrites)},
 		WriteNanos: writeNanos,
 		Sorted:     true,

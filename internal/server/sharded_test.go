@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -475,17 +476,72 @@ func TestJobResultSanitizeClampsNonFinite(t *testing.T) {
 
 func TestSortRequestAlgorithmNames(t *testing.T) {
 	for name, want := range map[string]string{
-		"lsd": "6-bit LSD", "quicksort": "Quicksort", "mergesort": "Mergesort",
+		"lsd": "6-bit LSD", "quicksort": "Quicksort", "mergesort": "Mergesort", "auto": "6-bit MSD",
 	} {
-		alg, err := (&SortRequest{Algorithm: name, Bits: 6}).algorithm()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if alg.Name() != want {
-			t.Errorf("%s resolved to %s", name, alg.Name())
+		spec := normalizedSpec(t, streamClass, &StreamRequest{
+			Dataset: &DatasetSpec{N: 10}, Algorithm: name, Bits: 6,
+		})
+		if spec.alg.Name() != want {
+			t.Errorf("%s resolved to %s", name, spec.alg.Name())
 		}
 	}
-	if _, err := (&SortRequest{Algorithm: "bogosort"}).algorithm(); err == nil {
+	spec := (&SortRequest{Keys: []uint32{1}, Algorithm: "bogosort"}).spec()
+	spec.class = sortClass
+	if err := spec.normalize(Config{}.withDefaults()); err == nil {
 		t.Error("unknown algorithm resolved")
+	}
+}
+
+// shardedJob runs one JSON-form sharded job to completion on a fresh
+// 2-shard fleet and returns its record.
+func shardedJob(t *testing.T, req ShardedRequest) Job {
+	t.Helper()
+	_, url := shardFleet(t, 2, Config{Workers: 2, QueueDepth: 8})
+	job := decodeJob(t, postJSON(t, url+"/v1/sort/sharded?wait=1", req))
+	if job.Status != StatusDone || job.Result == nil || job.Result.Cluster == nil {
+		t.Fatalf("job status = %q (error %q)", job.Status, job.Error)
+	}
+	if !job.Result.Verified {
+		t.Fatalf("sharded job not verified: %+v", job.Result)
+	}
+	return job
+}
+
+// TestSortShardedRegistryAlgorithm: the coordinator's pilot resolves
+// algorithm names through the same registry as the shards, so any
+// registered algorithm runs sharded.
+func TestSortShardedRegistryAlgorithm(t *testing.T) {
+	shardedJob(t, ShardedRequest{StreamRequest: StreamRequest{
+		Dataset:   &DatasetSpec{Kind: "uniform", N: 40000, Seed: 3},
+		Algorithm: "onesweep-lsd",
+		Mode:      ModeHybrid,
+		RunSize:   6000,
+		Seed:      5,
+	}})
+}
+
+// TestSortShardedForwardsParams: a sharded job's backend parameters
+// reach every shard job, whose own record echoes them.
+func TestSortShardedForwardsParams(t *testing.T) {
+	job := shardedJob(t, ShardedRequest{StreamRequest: StreamRequest{
+		Dataset: &DatasetSpec{Kind: "uniform", N: 40000, Seed: 3},
+		Backend: "spintronic",
+		Params:  map[string]float64{"saving": 0.5},
+		Mode:    ModeHybrid,
+		RunSize: 6000,
+		Seed:    5,
+	}})
+	if got := job.Result.Params["saving"]; got != 0.5 {
+		t.Fatalf("coordinator record saving = %v, want 0.5", got)
+	}
+	for i, sh := range job.Result.Cluster.Shards {
+		resp, err := http.Get(sh.Node + "/v1/jobs/" + sh.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := decodeJob(t, resp)
+		if rec.Result == nil || !reflect.DeepEqual(rec.Result.Params, job.Result.Params) {
+			t.Errorf("shard %d (%s) ran at %+v, want params %v", i, sh.JobID, rec.Result, job.Result.Params)
+		}
 	}
 }

@@ -174,6 +174,18 @@ func New(name string, bits int) (Algorithm, error) {
 	return in.construct(bits), nil
 }
 
+// Resolve is New under the service's naming: "auto" and the empty name
+// stand for the paper's default, MSD radix (6-bit at bits 0, the Figure 9
+// winner). Every sortd job class and the cluster coordinator resolve
+// algorithm names here; only the in-memory executor pilots the roster
+// instead (core.Planner.PlanAuto) before it names an algorithm.
+func Resolve(name string, bits int) (Algorithm, error) {
+	if name == "" || name == "auto" {
+		name = "msd"
+	}
+	return New(name, bits)
+}
+
 // Names returns the registered algorithm names, sorted.
 func Names() []string {
 	regMu.RLock()

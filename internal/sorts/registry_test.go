@@ -202,3 +202,26 @@ func TestRegistryDispatchParity(t *testing.T) {
 		}
 	}
 }
+
+func TestResolve(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bits int
+		want string
+	}{
+		{"auto", 0, "6-bit MSD"}, {"", 0, "6-bit MSD"}, {"auto", 4, "4-bit MSD"},
+		{"onesweep-lsd", 0, "8-bit OneSweep"}, {"lsd", 7, "7-bit LSD"}, {"quicksort", 3, "Quicksort"},
+	} {
+		alg, err := Resolve(tc.name, tc.bits)
+		if err != nil {
+			t.Fatalf("Resolve(%q, %d): %v", tc.name, tc.bits, err)
+		}
+		if alg.Name() != tc.want {
+			t.Errorf("Resolve(%q, %d) = %s, want %s", tc.name, tc.bits, alg.Name(), tc.want)
+		}
+	}
+	var unknown *UnknownAlgorithmError
+	if _, err := Resolve("bogosort", 0); !errors.As(err, &unknown) {
+		t.Errorf("Resolve(bogosort) error = %v, want *UnknownAlgorithmError", err)
+	}
+}
