@@ -19,7 +19,8 @@
 //   - the paper's core contribution, the approx-refine execution mechanism
 //     with its Section 4.3 cost model (internal/core);
 //   - one experiment function per table/figure (internal/experiments), the
-//     cmd/ harnesses that print them, and benchmarks in bench_test.go.
+//     cmd/study figure table that prints them, and benchmarks in
+//     bench_test.go.
 //
 // Start with examples/quickstart, then see DESIGN.md for the system
 // inventory and EXPERIMENTS.md for paper-versus-measured results.

@@ -1,6 +1,7 @@
 package mlc
 
 import (
+	"reflect"
 	"testing"
 
 	"approxsort/internal/rng"
@@ -98,5 +99,15 @@ func TestAnalogMarginalErrorMatchesMaterialized(t *testing.T) {
 	exact := MonteCarlo(Approximate(T), n, 7)
 	if d := analogRate - exact.WordErrorRate; d > 0.05 || d < -0.05 {
 		t.Errorf("analog first-read word error %v vs materialized %v", analogRate, exact.WordErrorRate)
+	}
+}
+
+func TestDensitySweepWorkerInvariant(t *testing.T) {
+	serial, parallel := DensitySweep(300, 5, 1), DensitySweep(300, 5, 4)
+	if len(serial) != 12 || serial[0].Levels != 2 || serial[11].Levels != 16 {
+		t.Fatalf("density grid: %+v", serial)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Error("density points depend on the worker count")
 	}
 }

@@ -33,7 +33,7 @@ func (s Stats) WriteReduction() float64 { return 1 - s.PRatio() }
 
 // MonteCarlo writes `words` uniformly random 32-bit values through the
 // exact cell model at configuration p (the paper's campaign writes 1e8
-// cells; see cmd/mlcstudy for the scaled default) and returns the observed
+// cells; see cmd/study -fig 2 for the scaled default) and returns the observed
 // statistics. The seed makes runs reproducible.
 func MonteCarlo(p Params, words int, seed uint64) Stats {
 	model := NewExact(p)
@@ -93,6 +93,34 @@ func SweepParallel(base Params, ts []float64, words int, seed uint64, workers in
 		p := base
 		p.T = t
 		return MonteCarlo(p, words, rng.Split(seed, t)), nil
+	})
+	return out
+}
+
+// DensityPoint is one point of the cell-density sweep.
+type DensityPoint struct {
+	Levels        int
+	GuardFraction float64
+	Params        Params // the cell at that level count and guard fraction
+	Stats         Stats
+}
+
+// DensitySweep sweeps the Sampson cell-density axis: SLC, 4-level and
+// 16-level cells at guard fractions 0.2–0.8. Cells with more levels store
+// more bits but demand tighter absolute targets, costing pulses and
+// reliability at the same relative guard fraction. Points run on the
+// shared worker pool with coordinate-keyed streams, so the output is
+// identical for every worker count.
+func DensitySweep(words int, seed uint64, workers int) []DensityPoint {
+	var pts []DensityPoint
+	for _, levels := range []int{2, 4, 16} {
+		for _, f := range []float64{0.2, 0.4, 0.6, 0.8} {
+			pts = append(pts, DensityPoint{Levels: levels, GuardFraction: f, Params: GuardFraction(levels, f)})
+		}
+	}
+	out, _ := parallel.Map(pts, workers, func(_ int, pt DensityPoint) (DensityPoint, error) {
+		pt.Stats = MonteCarlo(pt.Params, words, rng.Split(seed, pt.Levels, pt.GuardFraction))
+		return pt, nil
 	})
 	return out
 }

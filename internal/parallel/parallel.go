@@ -20,7 +20,7 @@ import (
 
 // Workers normalizes a worker-count setting: any n >= 1 is used as-is,
 // anything else means one worker per available CPU. It is the default
-// behind every study command's -workers flag.
+// behind cmd/study's -workers flag.
 func Workers(n int) int {
 	if n >= 1 {
 		return n
